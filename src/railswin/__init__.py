@@ -6,7 +6,7 @@ variants, a COCO-style data pipeline, detection metrics, and a seeded
 training/ablation harness with a CLI.
 """
 
-from . import cbam, data, metrics, optim, swin, synth, tensor, train
+from . import cbam, config, data, metrics, optim, swin, synth, tensor, train
 from .errors import (
     DanglingReference,
     DatasetEmpty,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Tensor", "backward", "grad_check", "no_grad",
-    "cbam", "data", "metrics", "optim", "swin", "synth", "tensor", "train",
+    "cbam", "config", "data", "metrics", "optim", "swin", "synth", "tensor", "train",
     "DanglingReference", "DatasetEmpty", "IndivisibleInput", "InvalidParam",
     "MissingStats", "NonFinite", "NonFiniteLoss", "NoTape", "NotScalar",
     "ParseError", "RailswinError", "ShapeMismatch",

@@ -68,9 +68,6 @@ class ChannelAttentionParams:
         w1 = Tensor(rng.normal(0.0, std, (channels, hidden)), requires_grad=True)
         return cls(w0=w0, w1=w1, reduction=r)
 
-    def named_parameters(self, prefix=""):
-        return [(prefix + "w0", self.w0), (prefix + "w1", self.w1)]
-
 
 @dataclass
 class SpatialAttentionParams:
@@ -89,9 +86,6 @@ class SpatialAttentionParams:
         k = Tensor(rng.normal(0.0, std, (1, 2, SPATIAL_KERNEL_SIZE, SPATIAL_KERNEL_SIZE)),
                    requires_grad=True)
         return cls(kernel=k)
-
-    def named_parameters(self, prefix=""):
-        return [(prefix + "kernel", self.kernel)]
 
 
 @dataclass
@@ -156,14 +150,14 @@ def refine(f, maps, mode="both"):
 def cbam_apply(f, cam_params, sam_params):
     """Full sequential attention pass: channel gate, then spatial gate.
 
-    The spatial map is computed from the channel-refined features, and
-    both gates are applied in a single refine() call (one counted
-    attention application).
+    The spatial map is computed from the channel-refined features, which
+    the spatial gate then multiplies in a single refine() call (one counted
+    attention application): the output is (f * m_c) * m_s.
     """
     m_c = channel_attention_map(f, cam_params)
     refined_c = f * m_c
     m_s = spatial_attention_map(refined_c, sam_params)
-    return refine(f, AttentionMaps(m_c=m_c, m_s=m_s), mode="both")
+    return refine(refined_c, AttentionMaps(m_s=m_s), mode="spatial_only")
 
 
 @dataclass
@@ -177,7 +171,3 @@ class CbamParams:
     def init(cls, channels, reduction, rng):
         return cls(cam=ChannelAttentionParams.init(channels, reduction, rng),
                    sam=SpatialAttentionParams.init(rng))
-
-    def named_parameters(self, prefix=""):
-        return (self.cam.named_parameters(prefix + "cam.")
-                + self.sam.named_parameters(prefix + "sam."))

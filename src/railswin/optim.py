@@ -50,29 +50,3 @@ def adamw_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8, weight_de
         v += (1.0 - b2) * g * g
         p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
     return state
-
-
-class AdamW:
-    """Stateful convenience wrapper around :func:`adamw_step`."""
-
-    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
-        self.params = list(params)
-        self.lr = lr
-        self.betas = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self.state = AdamState.init(self.params)
-
-    def step(self):
-        grads = [p.grad for p in self.params]
-        adamw_step(self.params, grads, self.state, self.lr, self.betas, self.eps,
-                   self.weight_decay)
-
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
-
-
-def parameters_of(named_params):
-    """Strip names from an iterable of (name, Tensor) pairs."""
-    return [t for _, t in named_params]

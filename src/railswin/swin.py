@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -39,7 +38,7 @@ from .cbam import (
     refine,
     spatial_attention_map,
 )
-from .errors import IndivisibleInput, InvalidParam, ParseError, ShapeMismatch
+from .errors import IndivisibleInput, InvalidParam, ShapeMismatch
 from .tensor import Tensor
 
 MASK_NEG = -1e9
@@ -58,16 +57,16 @@ class CbamPlacement(enum.Enum):
 
 @dataclass
 class SwinConfig:
-    embed_dim: int = 96
-    depths: tuple = (2, 2, 6, 2)
-    num_heads: tuple = (3, 6, 12, 24)
-    window_size: int = 7
-    mlp_ratio: float = 4.0
-    placement: CbamPlacement = CbamPlacement.NONE
-    cbam_reduction: int = 16
-    patch_size: int = 4
-    input_size: tuple = (224, 224)
-    seed: int = 0
+    embed_dim: int
+    depths: tuple[int, ...]
+    num_heads: tuple[int, ...]
+    window_size: int
+    mlp_ratio: float
+    placement: CbamPlacement
+    cbam_reduction: int
+    patch_size: int
+    input_size: tuple[int, int]
+    seed: int
 
     def __post_init__(self):
         self.depths = tuple(int(d) for d in self.depths)
@@ -96,6 +95,11 @@ class SwinConfig:
             raise InvalidParam("cbam_reduction must be >= 1")
         if len(self.input_size) != 2:
             raise InvalidParam("input_size must be (H, W)")
+        # the stem divides by patch_size and three mergings each halve
+        step = self.patch_size * 8
+        if any(v < 1 or v % step for v in self.input_size):
+            raise InvalidParam(f"input_size {self.input_size} must be positive multiples "
+                               f"of patch_size * 8 = {step}")
 
     def stage_dim(self, stage):
         return self.embed_dim * 2**stage
@@ -115,66 +119,6 @@ def tiny_config(placement=CbamPlacement.NONE, seed=0):
                       cbam_reduction=16, patch_size=4, input_size=(224, 224), seed=seed)
 
 
-_CONFIG_KEYS = ("embed_dim", "depths", "num_heads", "window_size", "mlp_ratio",
-                "placement", "cbam_reduction", "patch_size", "input_size", "seed")
-
-
-def config_to_dict(cfg):
-    return {
-        "embed_dim": cfg.embed_dim,
-        "depths": list(cfg.depths),
-        "num_heads": list(cfg.num_heads),
-        "window_size": cfg.window_size,
-        "mlp_ratio": cfg.mlp_ratio,
-        "placement": cfg.placement.value,
-        "cbam_reduction": cfg.cbam_reduction,
-        "patch_size": cfg.patch_size,
-        "input_size": list(cfg.input_size),
-        "seed": cfg.seed,
-    }
-
-
-def config_from_dict(doc):
-    if not isinstance(doc, dict):
-        raise ParseError("config document must be a JSON object")
-    unknown = set(doc) - set(_CONFIG_KEYS)
-    if unknown:
-        raise ParseError(f"unknown config keys: {sorted(unknown)}")
-    missing = set(_CONFIG_KEYS) - set(doc)
-    if missing:
-        raise ParseError(f"missing config keys: {sorted(missing)}")
-    try:
-        return SwinConfig(
-            embed_dim=int(doc["embed_dim"]),
-            depths=tuple(doc["depths"]),
-            num_heads=tuple(doc["num_heads"]),
-            window_size=int(doc["window_size"]),
-            mlp_ratio=float(doc["mlp_ratio"]),
-            placement=CbamPlacement(doc["placement"]),
-            cbam_reduction=int(doc["cbam_reduction"]),
-            patch_size=int(doc["patch_size"]),
-            input_size=tuple(doc["input_size"]),
-            seed=int(doc["seed"]),
-        )
-    except (TypeError, ValueError) as e:
-        raise ParseError(f"bad config value: {e}") from e
-
-
-def save_config(cfg, path):
-    with open(path, "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_config(path):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise ParseError(f"cannot read config {path}: {e}") from e
-    return config_from_dict(doc)
-
-
 # ---------------------------------------------------------------------------
 # parameters
 
@@ -190,28 +134,15 @@ class BlockParams:
     qkv_b: Tensor
     proj_w: Tensor
     proj_b: Tensor
-    bias_table: Tensor | None
     norm2_g: Tensor
     norm2_b: Tensor
     mlp_w1: Tensor
     mlp_b1: Tensor
     mlp_w2: Tensor
     mlp_b2: Tensor
+    # declared after the MLP so checkpoint names keep their order
+    bias_table: Tensor | None
     cbam: object = None  # ChannelAttentionParams | SpatialAttentionParams | None
-
-    def named_parameters(self, prefix=""):
-        pairs = [("norm1_g", self.norm1_g), ("norm1_b", self.norm1_b),
-                 ("qkv_w", self.qkv_w), ("qkv_b", self.qkv_b),
-                 ("proj_w", self.proj_w), ("proj_b", self.proj_b),
-                 ("norm2_g", self.norm2_g), ("norm2_b", self.norm2_b),
-                 ("mlp_w1", self.mlp_w1), ("mlp_b1", self.mlp_b1),
-                 ("mlp_w2", self.mlp_w2), ("mlp_b2", self.mlp_b2)]
-        if self.bias_table is not None:
-            pairs.append(("bias_table", self.bias_table))
-        out = [(prefix + n, t) for n, t in pairs]
-        if self.cbam is not None:
-            out += self.cbam.named_parameters(prefix + "cbam.")
-        return out
 
 
 @dataclass
@@ -220,26 +151,12 @@ class PatchMergeParams:
     norm_b: Tensor
     w: Tensor  # [2D, 4D]
 
-    def named_parameters(self, prefix=""):
-        return [(prefix + "norm_g", self.norm_g), (prefix + "norm_b", self.norm_b),
-                (prefix + "w", self.w)]
-
 
 @dataclass
 class StageParams:
     merge: PatchMergeParams | None
     cbam: CbamParams | None
     blocks: list = field(default_factory=list)
-
-    def named_parameters(self, prefix=""):
-        out = []
-        if self.merge is not None:
-            out += self.merge.named_parameters(prefix + "merge.")
-        if self.cbam is not None:
-            out += self.cbam.named_parameters(prefix + "cbam.")
-        for i, b in enumerate(self.blocks):
-            out += b.named_parameters(f"{prefix}block{i}.")
-        return out
 
 
 @dataclass
@@ -248,14 +165,6 @@ class BackboneParams:
     embed_b: Tensor
     model_cbam: CbamParams | None
     stages: list = field(default_factory=list)
-
-    def named_parameters(self):
-        out = [("embed_w", self.embed_w), ("embed_b", self.embed_b)]
-        if self.model_cbam is not None:
-            out += self.model_cbam.named_parameters("model_cbam.")
-        for s, st in enumerate(self.stages):
-            out += st.named_parameters(f"stage{s}.")
-        return out
 
 
 def _xavier(rng, shape):
@@ -290,7 +199,11 @@ def _init_block(dim, num_heads, window, mlp_ratio, rng, cbam=None):
 
 
 def init_backbone_params(cfg, in_channels=1, rng=None):
-    """Build all parameters, deterministically from cfg.seed."""
+    """Build all parameters, deterministically from cfg.seed.
+
+    The placement is decided here alone: the forward gates wherever gate
+    parameters exist.
+    """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     p = cfg.patch_size
@@ -483,10 +396,10 @@ def window_msa(x, params, mask=None, num_heads=None):
     return T.linear(out, params.proj_w, params.proj_b)
 
 
-def _block_cbam(x_grid, params, shift):
+def _block_cbam(x_grid, params):
     """Gate normalized tokens (as a [D, H, W] map) inside the residual branch."""
     chw = _grid_to_chw(x_grid)
-    if shift == 0:
+    if isinstance(params, ChannelAttentionParams):
         m = channel_attention_map(chw, params)
         chw = refine(chw, AttentionMaps(m_c=m), mode="channel_only")
     else:
@@ -495,8 +408,11 @@ def _block_cbam(x_grid, params, shift):
     return _chw_to_grid(chw)
 
 
-def swin_block_forward(x, hw, params, shift, use_cbam=False):
-    """One block: LN -> [gate] -> (shift) window attention -> +residual -> MLP."""
+def swin_block_forward(x, hw, params, shift):
+    """One block: LN -> [gate] -> (shift) window attention -> +residual -> MLP.
+
+    The gate runs when the block carries attention parameters.
+    """
     H, W = hw
     L, D = x.shape[-2:]
     if L != H * W:
@@ -511,8 +427,8 @@ def swin_block_forward(x, hw, params, shift, use_cbam=False):
     x = T.layer_norm(x, params.norm1_g, params.norm1_b)
     grid = T.reshape(x, lead + (H, W, D))
 
-    if use_cbam and params.cbam is not None:
-        grid = _block_cbam(grid, params.cbam, shift)
+    if params.cbam is not None:
+        grid = _block_cbam(grid, params.cbam)
 
     pad_h = (-H) % window
     pad_w = (-W) % window
@@ -541,15 +457,6 @@ def swin_block_forward(x, hw, params, shift, use_cbam=False):
     y = T.gelu(y)
     y = T.linear(y, params.mlp_w2, params.mlp_b2)
     return x + y
-
-
-def swin_block_pair_forward(x, hw, params_pair, cfg, placement=None):
-    """Two successive blocks: plain-window then shifted-window attention."""
-    placement = cfg.placement if placement is None else placement
-    use_cbam = placement is CbamPlacement.BLOCK
-    p1, p2 = params_pair
-    x = swin_block_forward(x, hw, p1, shift=0, use_cbam=use_cbam)
-    return swin_block_forward(x, hw, p2, shift=cfg.window_size // 2, use_cbam=use_cbam)
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +524,7 @@ def patch_merging(x, params, stage_cbam=None):
 
 def backbone_forward(image, cfg, params):
     """Run all four stages; returns the four stage outputs as [..., D, H, W] maps."""
-    if cfg.placement is CbamPlacement.MODEL:
+    if params.model_cbam is not None:
         image = cbam_apply(image, params.model_cbam.cam, params.model_cbam.sam)
 
     lead = image.shape[:-3]
@@ -625,24 +532,19 @@ def backbone_forward(image, cfg, params):
     H = image.shape[-2] // cfg.patch_size
     W = image.shape[-1] // cfg.patch_size
 
-    stage0_cbam = params.stages[0].cbam if cfg.placement is CbamPlacement.STAGE else None
-    tokens = patch_partition_embed(image, cfg, params, stage_cbam=stage0_cbam)
+    tokens = patch_partition_embed(image, cfg, params, stage_cbam=params.stages[0].cbam)
 
     features = []
     for s in range(4):
         st = params.stages[s]
         if s > 0:
             grid = T.reshape(tokens, lead + (H, W, cfg.stage_dim(s - 1)))
-            cb = st.cbam if cfg.placement is CbamPlacement.STAGE else None
-            grid = patch_merging(grid, st.merge, stage_cbam=cb)
+            grid = patch_merging(grid, st.merge, stage_cbam=st.cbam)
             H, W = H // 2, W // 2
             tokens = T.reshape(grid, lead + (H * W, cfg.stage_dim(s)))
         shift = cfg.window_size // 2
         for i, bp in enumerate(st.blocks):
-            use_cbam = cfg.placement is CbamPlacement.BLOCK
-            tokens = swin_block_forward(tokens, (H, W), bp,
-                                        shift=0 if i % 2 == 0 else shift,
-                                        use_cbam=use_cbam)
+            tokens = swin_block_forward(tokens, (H, W), bp, shift=0 if i % 2 == 0 else shift)
         grid = T.reshape(tokens, lead + (H, W, cfg.stage_dim(s)))
         features.append(_grid_to_chw(grid))
     return features
@@ -684,7 +586,4 @@ class SwinBackbone:
         return backbone_forward(image, self.cfg, self.params)
 
     def named_parameters(self):
-        return self.params.named_parameters()
-
-    def parameters(self):
-        return [t for _, t in self.named_parameters()]
+        return T.named_parameters(self.params)

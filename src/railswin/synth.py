@@ -40,9 +40,9 @@ _ASPECT = {
 @dataclass
 class SyntheticSpec:
     num_images: int = 200
-    image_size: tuple = (32, 32)
-    categories: tuple = DEFECT_KINDS
-    instances_per_image: tuple = (1, 1)
+    image_size: tuple[int, int] = (32, 32)
+    categories: tuple[str, ...] = DEFECT_KINDS
+    instances_per_image: tuple[int, int] = (1, 1)
     small_fraction: float = 0.3
     noise_level: float = 4.0
     seed: int = 0

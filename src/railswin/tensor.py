@@ -12,6 +12,7 @@ the headroom, and at desk scale the speed difference is irrelevant.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 
 import numpy as np
 
@@ -589,6 +590,30 @@ def smooth_l1(pred, target, beta=1.0):
         _accum(pred, out.grad * np.clip(d / beta, -1.0, 1.0) / n)
 
     return _make(loss, (pred,), backward)
+
+
+# ---------------------------------------------------------------------------
+# parameter trees
+
+
+def named_parameters(tree, prefix=""):
+    """(name, Tensor) pairs of a parameter dataclass tree, in field order.
+
+    A nested dataclass field ``cbam`` names its tensors ``cbam.*``; an
+    element of a list field takes the field's singular name and its index
+    (``stages`` -> ``stage0.*``).  Fields holding no tensor are skipped.
+    """
+    out = []
+    for f in dataclasses.fields(tree):
+        value = getattr(tree, f.name)
+        if isinstance(value, Tensor):
+            out.append((prefix + f.name, value))
+        elif dataclasses.is_dataclass(value):
+            out += named_parameters(value, f"{prefix}{f.name}.")
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                out += named_parameters(item, f"{prefix}{f.name.removesuffix('s')}{i}.")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,25 +5,20 @@ from __future__ import annotations
 import json
 import os
 import time
+import zipfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import tensor as T
+from .config import from_dict, to_dict
 from .data.coco import Dataset, load_coco
 from .data.stats import category_stats
 from .errors import DatasetEmpty, InvalidParam, NonFiniteLoss, ParseError, ShapeMismatch
 from .metrics import Detection, evaluate
 from .data.boxes import BBox
 from .optim import AdamState, adamw_step
-from .swin import (
-    CbamPlacement,
-    SwinBackbone,
-    SwinConfig,
-    config_from_dict,
-    config_to_dict,
-    nano_config,
-)
+from .swin import CbamPlacement, SwinBackbone, SwinConfig
 from .synth import SyntheticSpec, generate_synthetic
 from .tensor import Tensor, backward, no_grad
 
@@ -34,10 +29,10 @@ WARMUP_ITERS = 5
 
 @dataclass
 class TrainConfig:
-    swin: SwinConfig = field(default_factory=nano_config)
+    swin: SwinConfig
     lr: float = 1e-3
     weight_decay: float = 0.05
-    betas: tuple = (0.9, 0.999)
+    betas: tuple[float, float] = (0.9, 0.999)
     epochs: int = 16
     batch_size: int = 16
     seed: int = 0
@@ -64,82 +59,17 @@ class TrainConfig:
             raise InvalidParam(f"task must be one of {TASKS}")
         if self.weight_decay < 0:
             raise InvalidParam("weight_decay must be >= 0")
-
-
-_TRAIN_KEYS = ("swin", "lr", "weight_decay", "betas", "epochs", "batch_size", "seed",
-               "dataset", "timing_log_path", "task", "max_iterations", "synthetic")
-_SYNTH_KEYS = ("num_images", "image_size", "categories", "instances_per_image",
-               "small_fraction", "noise_level", "seed")
-
-
-def train_config_to_dict(cfg):
-    doc = {
-        "swin": config_to_dict(cfg.swin),
-        "lr": cfg.lr,
-        "weight_decay": cfg.weight_decay,
-        "betas": list(cfg.betas),
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "seed": cfg.seed,
-        "dataset": cfg.dataset,
-        "timing_log_path": cfg.timing_log_path,
-        "task": cfg.task,
-        "max_iterations": cfg.max_iterations,
-        "synthetic": None,
-    }
-    if cfg.synthetic is not None:
-        s = cfg.synthetic
-        doc["synthetic"] = {
-            "num_images": s.num_images, "image_size": list(s.image_size),
-            "categories": list(s.categories),
-            "instances_per_image": list(s.instances_per_image),
-            "small_fraction": s.small_fraction, "noise_level": s.noise_level,
-            "seed": s.seed,
-        }
-    return doc
-
-
-def train_config_from_dict(doc):
-    if not isinstance(doc, dict):
-        raise ParseError("train config must be a JSON object")
-    unknown = set(doc) - set(_TRAIN_KEYS)
-    if unknown:
-        raise ParseError(f"unknown train config keys: {sorted(unknown)}")
-    if "swin" not in doc:
-        raise ParseError("train config needs a 'swin' section")
-    synth = None
-    if doc.get("synthetic") is not None:
-        sdoc = doc["synthetic"]
-        unknown = set(sdoc) - set(_SYNTH_KEYS)
-        if unknown:
-            raise ParseError(f"unknown synthetic keys: {sorted(unknown)}")
-        synth = SyntheticSpec(**sdoc)
-    try:
-        return TrainConfig(
-            swin=config_from_dict(doc["swin"]),
-            lr=float(doc.get("lr", 1e-3)),
-            weight_decay=float(doc.get("weight_decay", 0.05)),
-            betas=tuple(doc.get("betas", (0.9, 0.999))),
-            epochs=int(doc.get("epochs", 8)),
-            batch_size=int(doc.get("batch_size", 8)),
-            seed=int(doc.get("seed", 0)),
-            dataset=doc.get("dataset", "synthetic"),
-            timing_log_path=doc.get("timing_log_path"),
-            task=doc.get("task", "classification"),
-            max_iterations=doc.get("max_iterations"),
-            synthetic=synth,
-        )
-    except (TypeError, ValueError) as e:
-        raise ParseError(f"bad train config value: {e}") from e
+        if self.max_iterations is not None and self.max_iterations < 1:
+            raise InvalidParam("max_iterations must be >= 1 when set")
 
 
 def load_train_config(path):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         raise ParseError(f"cannot read train config {path}: {e}") from e
-    return train_config_from_dict(doc)
+    return from_dict(TrainConfig, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +83,8 @@ class HeadParams:
     b: Tensor
     num_classes: int
 
-    def named_parameters(self, prefix="head."):
-        return [(prefix + "w", self.w), (prefix + "b", self.b)]
+    def named_parameters(self):
+        return T.named_parameters(self, "head.")
 
 
 def init_head_params(cfg, num_classes, task):
@@ -330,37 +260,57 @@ def _class_label(image, cat_index):
 
 
 def save_checkpoint(path, cfg, backbone, head, adam_state, named, iteration):
+    """Write the resume state to ``path``; an interrupted write leaves it as it was."""
     arrays = {f"param.{name}": t.data for name, t in named}
     for (name, _), m, v in zip(named, adam_state.m, adam_state.v):
         arrays[f"adam_m.{name}"] = m
         arrays[f"adam_v.{name}"] = v
     meta = {
-        "config": train_config_to_dict(cfg),
+        "config": to_dict(cfg),
         "iteration": iteration,
         "adam_t": adam_state.t,
         "in_channels": backbone.in_channels,
         "num_classes": head.num_classes,
         "param_names": [name for name, _ in named],
     }
-    np.savez(path, meta=np.array(json.dumps(meta)), **arrays)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path):
-    """Rebuild (cfg, backbone, head, adam_state, meta) from an .npz file."""
-    with np.load(path) as blob:
-        meta = json.loads(str(blob["meta"]))
-        cfg = train_config_from_dict(meta["config"])
+    """Rebuild (cfg, backbone, head, adam_state, meta) from an .npz file.
+
+    An unreadable, corrupt or incomplete file raises ParseError.
+    """
+    try:
+        with np.load(path) as blob:
+            arrays = dict(blob)
+    # TypeError: a bare .npy array, which has no entries to open
+    except (OSError, EOFError, TypeError, ValueError, zipfile.BadZipFile) as e:
+        raise ParseError(f"cannot read checkpoint {path}: {e}") from e
+    try:
+        meta = json.loads(str(arrays["meta"]))
+        cfg = from_dict(TrainConfig, meta["config"])
         backbone = SwinBackbone(cfg.swin, in_channels=meta["in_channels"])
         head = init_head_params(cfg.swin, meta["num_classes"], cfg.task)
         named = backbone.named_parameters() + head.named_parameters()
-        by_name = dict(named)
-        if set(meta["param_names"]) != set(by_name):
+        if set(meta["param_names"]) != {name for name, _ in named}:
             raise ParseError(f"checkpoint {path} does not match the config's parameter set")
         for name, t in named:
-            t.data = blob[f"param.{name}"].copy()
-        adam = AdamState(m=[blob[f"adam_m.{name}"].copy() for name, _ in named],
-                         v=[blob[f"adam_v.{name}"].copy() for name, _ in named],
+            if arrays[f"param.{name}"].shape != t.data.shape:
+                raise ParseError(f"checkpoint {path}: {name} has the wrong shape")
+            t.data = arrays[f"param.{name}"]
+        adam = AdamState(m=[arrays[f"adam_m.{name}"] for name, _ in named],
+                         v=[arrays[f"adam_v.{name}"] for name, _ in named],
                          t=meta["adam_t"])
+    except (KeyError, ValueError) as e:
+        raise ParseError(f"checkpoint {path} has a missing or unreadable entry: {e}") from e
     return cfg, backbone, head, adam, meta
 
 
@@ -401,7 +351,7 @@ def train(cfg, out_dir=None, resume=None, data=None):
     start_iteration = 0
     if resume is not None:
         cfg_ck, backbone, head, adam_state, meta = load_checkpoint(resume)
-        if config_to_dict(cfg_ck.swin) != config_to_dict(cfg.swin):
+        if cfg_ck.swin != cfg.swin:
             raise InvalidParam("resume checkpoint was built for a different backbone config")
         start_iteration = meta["iteration"]
     else:

@@ -110,18 +110,20 @@ def test_criterion_1_gradient_suite():
     worst["cbam_block"] = grad_check(cbam_block, feat, eps=eps)
 
     # nano block pair with channel + spatial gates (D=8, 4x4 grid, window 2)
-    from railswin.swin import swin_block_pair_forward
+    from railswin.swin import swin_block_forward
 
-    cfg = SwinConfig(embed_dim=8, depths=(2, 2, 2, 2), num_heads=(2, 2, 2, 2),
-                     window_size=2, mlp_ratio=2.0, placement=CbamPlacement.BLOCK,
-                     cbam_reduction=4, patch_size=4, input_size=(32, 32), seed=0)
-    p1 = _init_block(8, 2, 2, 2.0, rng, cbam=ChannelAttentionParams.init(8, 4, rng))
-    p2 = _init_block(8, 2, 2, 2.0, rng, cbam=SpatialAttentionParams.init(rng))
+    window = 2
+    p1 = _init_block(8, 2, window, 2.0, rng, cbam=ChannelAttentionParams.init(8, 4, rng))
+    p2 = _init_block(8, 2, window, 2.0, rng, cbam=SpatialAttentionParams.init(rng))
     tokens = Tensor(rng.normal(size=(16, 8)))
     pair_probe = Tensor(rng.normal(size=(16, 8)))
+
+    def block_pair(t):
+        t = swin_block_forward(t, (4, 4), p1, shift=0)
+        return swin_block_forward(t, (4, 4), p2, shift=window // 2)
+
     worst["swin_block_pair"] = grad_check(
-        lambda t: T.tsum(swin_block_pair_forward(t, (4, 4), (p1, p2), cfg) * pair_probe),
-        tokens, eps=eps)
+        lambda t: T.tsum(block_pair(t) * pair_probe), tokens, eps=eps)
 
     elapsed = time.perf_counter() - start
     for name, err in worst.items():

@@ -1,15 +1,20 @@
 """Command-line surface: commands, artifacts, exit codes."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from railswin.cli import main
+from railswin.config import to_dict
 from railswin.data.coco import load_coco, save_dataset
 from railswin.swin import nano_config
 from railswin.synth import SyntheticSpec, generate_synthetic
-from railswin.train import TrainConfig, train_config_to_dict
+from railswin.train import TrainConfig
 
 
 @pytest.fixture
@@ -20,7 +25,7 @@ def workspace(tmp_path):
     cfg = TrainConfig(swin=nano_config(seed=0), seed=0, max_iterations=4, epochs=50,
                       batch_size=8, synthetic=SyntheticSpec(num_images=16, seed=0))
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(train_config_to_dict(cfg)))
+    cfg_path.write_text(json.dumps(to_dict(cfg)))
     return tmp_path, ann, cfg_path
 
 
@@ -119,7 +124,7 @@ def test_ablate_command(workspace, tmp_path):
                       batch_size=8, task="localization",
                       synthetic=SyntheticSpec(num_images=8, seed=0))
     cfg_path = tmp_path / "ab.json"
-    cfg_path.write_text(json.dumps(train_config_to_dict(cfg)))
+    cfg_path.write_text(json.dumps(to_dict(cfg)))
     assert main(["ablate", "--config", str(cfg_path), "--seeds", "0",
                  "--out", str(tmp / "a")]) == 0
     lines = (tmp / "a" / "ablation.csv").read_text().splitlines()
@@ -162,3 +167,100 @@ def test_checkpoint_forward_preserved(workspace):
     with no_grad():
         got = head_forward(backbone.forward(x), head).data
     assert np.array_equal(want, got)
+
+
+def assert_one_error_line(err):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+DELETE = object()
+
+
+def edit(doc, path, value):
+    """Set the key at ``path`` in a config document, or remove it for DELETE."""
+    *parents, key = path
+    for k in parents:
+        doc = doc[k]
+    if value is DELETE:
+        del doc[key]
+    else:
+        doc[key] = value
+
+
+@pytest.mark.parametrize("path,value", [
+    (("max_iterations",), "5"),
+    (("synthetic", "num_images"), "x"),
+    (("swin", "embed_dim"), "16"),
+    (("swin", "embed_dim"), 16.7),
+    (("max_iterations",), -3),
+    (("swin", "input_size"), [30, 30]),
+    (("swin",), DELETE),
+    (("swin", "seed"), DELETE),
+], ids=["max_iterations-str", "num_images-str", "embed_dim-str", "embed_dim-float",
+        "max_iterations-negative", "input_size-30", "no-swin", "no-swin-seed"])
+def test_train_rejects_bad_config(workspace, capsys, path, value):
+    tmp, _, cfg_path = workspace
+    doc = json.loads(cfg_path.read_text())
+    edit(doc, path, value)
+    bad = tmp / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(bad), "--out", str(tmp / "bad")]) == 1
+    assert_one_error_line(capsys.readouterr().err)
+    assert not (tmp / "bad" / "checkpoint.npz").exists()
+
+
+def test_train_rejects_garbage_resume(workspace, capsys):
+    tmp, _, cfg_path = workspace
+    garbage = tmp / "garbage.npz"
+    garbage.write_bytes(b"not a checkpoint\n" * 8)
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp / "g"),
+                 "--resume", str(garbage)]) == 1
+    assert_one_error_line(capsys.readouterr().err)
+    assert not (tmp / "g" / "checkpoint.npz").exists()
+
+
+# JSON kinds each train-config field accepts; the property below feeds it any other
+ACCEPTED_KINDS = {
+    ("swin",): {"object"},
+    ("swin", "embed_dim"): {"int"},
+    ("swin", "depths"): {"list"},
+    ("swin", "mlp_ratio"): {"int", "float"},
+    ("swin", "placement"): {"str"},
+    ("swin", "input_size"): {"list"},
+    ("swin", "seed"): {"int"},
+    ("lr",): {"int", "float"},
+    ("betas",): {"list"},
+    ("epochs",): {"int"},
+    ("dataset",): {"str"},
+    ("timing_log_path",): {"str", "null"},
+    ("max_iterations",): {"int", "null"},
+    ("synthetic",): {"object", "null"},
+    ("synthetic", "num_images"): {"int"},
+    ("synthetic", "categories"): {"list"},
+    ("synthetic", "noise_level"): {"int", "float"},
+}
+JSON_KINDS = {type(None): "null", bool: "bool", int: "int", float: "float", str: "str",
+              list: "list", dict: "object"}
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=4)
+
+
+@settings(max_examples=50, deadline=None)
+@given(path=st.sampled_from(list(ACCEPTED_KINDS)), value=json_values)
+def test_wrong_json_type_exits_1_with_one_line(tmp_path_factory, path, value):
+    assume(JSON_KINDS[type(value)] not in ACCEPTED_KINDS[path])
+    doc = to_dict(TrainConfig(swin=nano_config(), max_iterations=1,
+                              synthetic=SyntheticSpec(num_images=8)))
+    edit(doc, path, value)
+    tmp = tmp_path_factory.mktemp("wrong-type")
+    (tmp / "cfg.json").write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["train", "--config", str(tmp / "cfg.json"), "--out", str(tmp / "out")])
+    assert rc == 1
+    assert_one_error_line(err.getvalue())
+    assert not (tmp / "out").exists()

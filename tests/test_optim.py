@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from railswin.errors import ShapeMismatch
-from railswin.optim import AdamState, AdamW, adamw_step
+from railswin.optim import AdamState, adamw_step
 from railswin.tensor import Tensor
 
 
@@ -72,13 +72,3 @@ def test_shape_mismatch():
     state = AdamState.init([p])
     with pytest.raises(ShapeMismatch):
         adamw_step([p], [np.zeros(3)], state, lr=0.1)
-
-
-def test_wrapper_uses_param_grads():
-    p = Tensor([1.0], requires_grad=True)
-    opt = AdamW([p], lr=0.1)
-    p.grad = np.array([1.0])
-    opt.step()
-    assert p.data[0] == pytest.approx(0.9, abs=1e-6)
-    opt.zero_grad()
-    assert p.grad is None

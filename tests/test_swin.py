@@ -8,6 +8,7 @@ import pytest
 from railswin import cbam
 from railswin import tensor as T
 from railswin.cbam import AttentionMaps, ChannelAttentionParams, SpatialAttentionParams, refine
+from railswin.config import from_dict, to_dict
 from railswin.errors import IndivisibleInput, InvalidParam, ParseError, ShapeMismatch
 from railswin.swin import (
     CbamPlacement,
@@ -15,8 +16,6 @@ from railswin.swin import (
     SwinConfig,
     build_shift_mask,
     backbone_forward,
-    config_from_dict,
-    config_to_dict,
     count_cbam_invocations,
     count_parameters,
     init_backbone_params,
@@ -24,7 +23,6 @@ from railswin.swin import (
     patch_merging,
     patch_partition_embed,
     swin_block_forward,
-    swin_block_pair_forward,
     tiny_config,
     trace_shapes,
     window_msa,
@@ -44,6 +42,12 @@ def micro_config(placement=CbamPlacement.NONE, seed=5):
     return SwinConfig(embed_dim=2, depths=(1, 1, 1, 1), num_heads=(1, 1, 1, 1),
                       window_size=2, mlp_ratio=1.0, placement=placement,
                       cbam_reduction=2, patch_size=4, input_size=(32, 32), seed=seed)
+
+
+def block_pair(x, hw, p1, p2, window=2):
+    """A plain-window block, then a shifted-window block."""
+    x = swin_block_forward(x, hw, p1, shift=0)
+    return swin_block_forward(x, hw, p2, shift=window // 2)
 
 
 def zero_block(dim, heads, window, mlp_ratio=2.0):
@@ -221,44 +225,32 @@ class TestWindowMsa:
 class TestBlocks:
     def test_zero_branches_identity(self):
         x = Tensor(rng(0).normal(size=(16, 8)))
-        cfg = SwinConfig(embed_dim=8, depths=(2, 2, 2, 2), num_heads=(1, 1, 1, 1),
-                         window_size=2, mlp_ratio=2.0, placement=CbamPlacement.NONE,
-                         cbam_reduction=4, patch_size=4, input_size=(32, 32), seed=0)
-        pair = (zero_block(8, 1, 2), zero_block(8, 1, 2))
-        out = swin_block_pair_forward(x, (4, 4), pair, cfg)
+        out = block_pair(x, (4, 4), zero_block(8, 1, 2), zero_block(8, 1, 2))
         assert np.array_equal(out.data, x.data)
 
     def test_saturated_cbam_matches_plain(self):
         r = rng(1)
-        cfg = SwinConfig(embed_dim=8, depths=(2, 2, 2, 2), num_heads=(2, 2, 2, 2),
-                         window_size=2, mlp_ratio=2.0, placement=CbamPlacement.BLOCK,
-                         cbam_reduction=4, patch_size=4, input_size=(32, 32), seed=0)
         p1 = _init_block(8, 2, 2, 2.0, r)
         p2 = _init_block(8, 2, 2, 2.0, r)
         x = Tensor(r.normal(size=(16, 8)))
-        plain = swin_block_pair_forward(x, (4, 4), (p1, p2), cfg,
-                                        placement=CbamPlacement.NONE)
+        plain = block_pair(x, (4, 4), p1, p2)
         big = 1e4
         p1.cbam = ChannelAttentionParams(
             w0=Tensor(np.vstack([np.full((1, 8), big), np.full((1, 8), -big)])),
             w1=Tensor(np.full((8, 2), big)), reduction=4)
         p2.cbam = SpatialAttentionParams(kernel=Tensor(np.full((1, 2, 7, 7), big)))
-        gated = swin_block_pair_forward(x, (4, 4), (p1, p2), cfg,
-                                        placement=CbamPlacement.BLOCK)
+        gated = block_pair(x, (4, 4), p1, p2)
         assert np.max(np.abs(gated.data - plain.data)) < 1e-3
 
     def test_pair_matches_compositional_oracle(self):
         """Assemble the documented step order from already-verified ops."""
         r = rng(2)
-        cfg = SwinConfig(embed_dim=8, depths=(2, 2, 2, 2), num_heads=(2, 2, 2, 2),
-                         window_size=2, mlp_ratio=2.0, placement=CbamPlacement.BLOCK,
-                         cbam_reduction=4, patch_size=4, input_size=(32, 32), seed=0)
         cam = ChannelAttentionParams.init(8, 4, r)
         sam = SpatialAttentionParams.init(r)
         p1 = _init_block(8, 2, 2, 2.0, r, cbam=cam)
         p2 = _init_block(8, 2, 2, 2.0, r, cbam=sam)
         x = Tensor(r.normal(size=(16, 8)))
-        out = swin_block_pair_forward(x, (4, 4), (p1, p2), cfg)
+        out = block_pair(x, (4, 4), p1, p2)
 
         from railswin.cbam import channel_attention_map, spatial_attention_map
 
@@ -464,7 +456,7 @@ class TestBackbone:
     def test_micro_param_budget_and_end_to_end_grad(self):
         cfg = micro_config(placement=CbamPlacement.BLOCK)
         params = init_backbone_params(cfg, in_channels=1)
-        assert count_parameters(params.named_parameters()) <= 5000
+        assert count_parameters(T.named_parameters(params)) <= 5000
         img = Tensor(rng(6).normal(size=(1, 32, 32)))
 
         def fwd(t):
@@ -472,7 +464,7 @@ class TestBackbone:
             return sum((T.tsum(f) for f in feats[1:]), T.tsum(feats[0]))
 
         assert grad_check(fwd, img, eps=1e-5, max_coords=48) < 1e-3
-        for name, tensor in params.named_parameters()[::7]:
+        for name, tensor in T.named_parameters(params)[::7]:
             assert grad_check(lambda _: fwd(img), tensor, eps=1e-4, max_coords=12) < 1e-3, name
 
     def test_rgb_input(self):
@@ -481,29 +473,41 @@ class TestBackbone:
             feats = model.forward(Tensor(rng(7).normal(size=(3, 32, 32))))
         assert feats[0].shape == (16, 8, 8)
 
+    def test_block_gates_at_window_1(self):
+        # window 1 never shifts, so each block's gate kind comes from its parameters
+        cfg = SwinConfig(embed_dim=8, depths=(2, 2, 2, 2), num_heads=(1, 1, 1, 1),
+                         window_size=1, mlp_ratio=1.0, placement=CbamPlacement.BLOCK,
+                         cbam_reduction=2, patch_size=4, input_size=(32, 32), seed=0)
+        model = SwinBackbone(cfg, in_channels=1)
+        cbam.reset_refine_count()
+        with no_grad():
+            feats = model.forward(Tensor(rng(8).normal(size=(1, 32, 32))))
+        assert cbam.get_refine_count() == count_cbam_invocations(cfg) == 8
+        assert feats[3].shape == (64, 1, 1)
+
 
 class TestConfig:
     def test_roundtrip(self):
         cfg = nano_config(placement=CbamPlacement.BLOCK, seed=9)
-        doc = config_to_dict(cfg)
-        assert config_from_dict(doc) == cfg
+        doc = to_dict(cfg)
+        assert from_dict(SwinConfig, doc) == cfg
 
     def test_json_text_roundtrip(self):
         cfg = tiny_config()
-        doc = json.loads(json.dumps(config_to_dict(cfg)))
-        assert config_from_dict(doc) == cfg
+        doc = json.loads(json.dumps(to_dict(cfg)))
+        assert from_dict(SwinConfig, doc) == cfg
 
     def test_unknown_key_rejected(self):
-        doc = config_to_dict(nano_config())
+        doc = to_dict(nano_config())
         doc["dropout"] = 0.1
         with pytest.raises(ParseError):
-            config_from_dict(doc)
+            from_dict(SwinConfig, doc)
 
     def test_missing_key_rejected(self):
-        doc = config_to_dict(nano_config())
+        doc = to_dict(nano_config())
         del doc["window_size"]
         with pytest.raises(ParseError):
-            config_from_dict(doc)
+            from_dict(SwinConfig, doc)
 
     def test_head_divisibility_validated(self):
         with pytest.raises(InvalidParam):

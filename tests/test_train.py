@@ -1,17 +1,21 @@
 """Training harness: head, loop mechanics, checkpoints, timing, ablation."""
 
+import hashlib
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from railswin import tensor as T
+from railswin.config import from_dict, to_dict
 from railswin.data.boxes import BBox
 from railswin.data.coco import AnnotatedImage
 from railswin.errors import InvalidParam, NonFiniteLoss, ParseError
 from railswin.metrics import evaluate
-from railswin.swin import CbamPlacement, SwinBackbone, nano_config
+from railswin.swin import CbamPlacement, SwinBackbone, nano_config, tiny_config
 from railswin.synth import SyntheticSpec
 from railswin.tensor import Tensor, no_grad
 from railswin.train import (
@@ -29,8 +33,6 @@ from railswin.train import (
     predict_detections,
     run_ablation,
     train,
-    train_config_from_dict,
-    train_config_to_dict,
 )
 
 
@@ -83,31 +85,70 @@ class TestHead:
 class TestConfig:
     def test_roundtrip(self):
         cfg = quick_cfg(task="localization", seed=3)
-        doc = json.loads(json.dumps(train_config_to_dict(cfg)))
-        back = train_config_from_dict(doc)
-        assert train_config_to_dict(back) == train_config_to_dict(cfg)
+        doc = json.loads(json.dumps(to_dict(cfg)))
+        back = from_dict(TrainConfig, doc)
+        assert to_dict(back) == to_dict(cfg)
 
     def test_unknown_key_rejected(self):
-        doc = train_config_to_dict(quick_cfg())
+        doc = to_dict(quick_cfg())
         doc["momentum"] = 0.9
         with pytest.raises(ParseError):
-            train_config_from_dict(doc)
+            from_dict(TrainConfig, doc)
 
     def test_validation(self):
+        swin = nano_config()
         with pytest.raises(InvalidParam):
-            TrainConfig(lr=0.0)
+            TrainConfig(swin=swin, lr=0.0)
         with pytest.raises(InvalidParam):
-            TrainConfig(betas=(0.9, 1.0))
+            TrainConfig(swin=swin, betas=(0.9, 1.0))
         with pytest.raises(InvalidParam):
-            TrainConfig(epochs=0)
+            TrainConfig(swin=swin, epochs=0)
         with pytest.raises(InvalidParam):
-            TrainConfig(task="segmentation")
+            TrainConfig(swin=swin, task="segmentation")
+        with pytest.raises(InvalidParam):
+            TrainConfig(swin=swin, max_iterations=0)
 
     def test_load_from_file(self, tmp_path):
         cfg = quick_cfg()
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(train_config_to_dict(cfg)))
-        assert train_config_to_dict(load_train_config(path)) == train_config_to_dict(cfg)
+        path.write_text(json.dumps(to_dict(cfg)))
+        assert to_dict(load_train_config(path)) == to_dict(cfg)
+
+    def test_omitted_keys_take_dataclass_defaults(self):
+        cfg = from_dict(TrainConfig, {"swin": to_dict(nano_config())})
+        assert cfg == TrainConfig(swin=nano_config())
+        assert (cfg.epochs, cfg.batch_size) == (16, 16)
+
+    def test_readme_example_roundtrips(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+        doc = json.loads(next(b for b in blocks if '"swin"' in b))
+        assert to_dict(from_dict(TrainConfig, doc)) == doc
+
+
+# (count, sha256 of the newline-joined names) of backbone + head named_parameters().
+# Checkpoints store parameters under these names in this order, so a change here
+# breaks loading every checkpoint already written.
+PARAMETER_NAMES = {
+    ("nano", "none"): (117, "bbf0ee37bd83b720073eecf6a26c300792fcc803b764666ee85b780707b43f4d"),
+    ("nano", "model"): (120, "847ccb97fb7cad7bf731af22376b4b6281a2a223891f1298f273893cee270319"),
+    ("nano", "stage"): (129, "16802c410bd213e3747ebb5a44948c28fff1cc952046664f965416dcebf05520"),
+    ("nano", "block"): (129, "9431bea1467c0c89ad534512aa9cc116635940a13cc6343c0e56a1ded7db3d6d"),
+    ("tiny", "none"): (169, "a5fb64214a8d53579951e803b3b0ec863b9d14c10cf8d177a8009eb740849ec4"),
+    ("tiny", "model"): (172, "af846968152444ebf1b5161b3fe78e8f58bfc19a180dbbfebd2741e4ef923731"),
+    ("tiny", "stage"): (181, "6082ec48785c55ca7ef946e065b27dd66fcd5c9211142c2fc603dfd13130b410"),
+    ("tiny", "block"): (187, "8bd444e860585beb508fab90f33d178a789809e85c69de22be491f0ed03d4c90"),
+}
+
+
+@pytest.mark.parametrize("size,placement", list(PARAMETER_NAMES))
+def test_parameter_names_and_order_pinned(size, placement):
+    cfg = {"nano": nano_config, "tiny": tiny_config}[size](CbamPlacement(placement))
+    named = (SwinBackbone(cfg, in_channels=1).named_parameters()
+             + init_head_params(cfg, 4, "localization").named_parameters())
+    names = [name for name, _ in named]
+    digest = hashlib.sha256("\n".join(names).encode()).hexdigest()
+    assert (len(names), digest) == PARAMETER_NAMES[size, placement]
 
 
 class TestLoop:
@@ -158,6 +199,38 @@ class TestLoop:
         assert (tmp_path / "checkpoint.npz").exists()
         header = (tmp_path / "loss_curve.csv").read_text().splitlines()[0]
         assert header == "iteration,loss"
+
+    @pytest.mark.parametrize("drop", ["meta", "param.embed_w", "adam_m.head.w",
+                                      "adam_v.stage0.block1.mlp_b2"])
+    def test_checkpoint_missing_entry_is_parse_error(self, tmp_path, drop):
+        res = train(quick_cfg(iters=1), out_dir=tmp_path)
+        with np.load(res.checkpoint_path) as blob:
+            assert drop in blob.files
+            arrays = {k: blob[k] for k in blob.files if k != drop}
+        np.savez(tmp_path / "cut.npz", **arrays)
+        with pytest.raises(ParseError):
+            load_checkpoint(tmp_path / "cut.npz")
+
+    def test_truncated_checkpoint_is_parse_error(self, tmp_path):
+        res = train(quick_cfg(iters=1), out_dir=tmp_path)
+        data = Path(res.checkpoint_path).read_bytes()
+        (tmp_path / "cut.npz").write_bytes(data[:len(data) // 2])
+        with pytest.raises(ParseError):
+            load_checkpoint(tmp_path / "cut.npz")
+
+    def test_interrupted_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        first = train(quick_cfg(iters=1), out_dir=tmp_path)
+        before = Path(first.checkpoint_path).read_bytes()
+
+        def interrupted(fh, **arrays):
+            fh.write(b"partial")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(np, "savez", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            train(quick_cfg(iters=2), out_dir=tmp_path)
+        assert Path(first.checkpoint_path).read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["checkpoint.npz", "loss_curve.csv", "timing.csv"]
 
     def test_moving_average(self):
         assert moving_average([1.0, 2.0, 3.0, 4.0], 2) == 3.5
