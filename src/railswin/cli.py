@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -54,21 +55,42 @@ def cmd_stats(args):
 
 
 def _load_targets(path, categories):
-    with open(path) as fh:
-        doc = json.load(fh)
+    """(fraction, train targets, val targets) from an augment-plan JSON file.
+
+    An unreadable file, a malformed document or a non-numeric value is a
+    ParseError; an unknown category name is an InvalidParam.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as e:
+        raise ParseError(f"cannot read augment targets {path}: {e}") from e
     if not isinstance(doc, dict):
         raise ParseError("augment targets must be a JSON object")
-    fraction = float(doc.get("fraction", 0.8))
+
+    def number(value, where, integral=False):
+        # JSON numbers only: no strings, no booleans, no NaN or Infinity
+        if type(value) is int or (type(value) is float and not integral
+                                  and math.isfinite(value)):
+            return value
+        kind = "an integer" if integral else "a finite number"
+        raise ParseError(f"augment targets: {where} must be {kind}, "
+                         f"got {json.dumps(value)}")
+
+    fraction = float(number(doc.get("fraction", 0.8), "fraction"))
     by_name = {name: cid for cid, name in categories.items()}
 
     def resolve(side):
         raw = doc.get(side, {})
+        if not isinstance(raw, dict):
+            raise ParseError(f"augment targets: {side} must be a JSON object")
         out = {}
         for key, count in raw.items():
+            count = number(count, f"{side}.{key}", integral=True)
             if key in by_name:
-                out[by_name[key]] = int(count)
+                out[by_name[key]] = count
             elif key.isdigit() and int(key) in categories:
-                out[int(key)] = int(count)
+                out[int(key)] = count
             else:
                 raise InvalidParam(f"unknown category {key!r} in targets")
         return out
@@ -87,8 +109,12 @@ def cmd_preprocess(args):
     train_ds, val_ds = split_train_val(data, fraction, args.seed)
     out = _ensure_out(args)
     plans = {}
+    # synthesized ids follow every source id and never repeat across splits
+    next_id = max((im.id for im in data.images), default=0) + 1
     for name, ds, targets in (("train", train_ds, train_targets), ("val", val_ds, val_targets)):
-        plan, augmented = plan_and_execute_augmentation(ds, targets, args.seed, split=name)
+        plan, augmented = plan_and_execute_augmentation(ds, targets, args.seed, split=name,
+                                                        first_id=next_id)
+        next_id += len(plan.records)
         plans[name] = plan
         save_dataset(augmented, os.path.join(out, name))
         print(f"{name}: {len(augmented.images)} images "

@@ -2,7 +2,7 @@
 
 One rule covers every config: a key may be left out only when its field
 has a default, an unknown key is rejected, and a value of the wrong JSON
-type is an error that names its JSON path
+type or a non-finite number is an error that names its JSON path
 (``config.synthetic.num_images: expected int, got "x"``).  Range checks
 stay with each dataclass's own ``validate``.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import math
 import types
 import typing
 
@@ -67,6 +68,8 @@ def from_dict(cls, doc, path="config"):
         return float(doc)
     if type(doc) is not cls:
         _wrong(path, cls.__name__, doc)
+    if cls is float and not math.isfinite(doc):  # Python's json reads NaN and Infinity
+        _wrong(path, "a finite number", doc)
     return doc
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import InvalidParam
@@ -9,7 +10,7 @@ from ..errors import InvalidParam
 
 @dataclass(frozen=True)
 class BBox:
-    """Top-left corner plus extents; w and h are never negative."""
+    """Top-left corner plus extents; all finite, w and h never negative."""
 
     x: float
     y: float
@@ -17,6 +18,9 @@ class BBox:
     h: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x, self.y, self.w, self.h))):
+            raise InvalidParam(f"box coordinates must be finite, got "
+                               f"{[self.x, self.y, self.w, self.h]}")
         if self.w < 0 or self.h < 0:
             raise InvalidParam(f"box extents must be >= 0, got w={self.w}, h={self.h}")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DanglingReference, ParseError
+from ..errors import DanglingReference, InvalidParam, ParseError
 from .boxes import BBox
 from .imageio import read_pnm, write_pnm
 
@@ -60,7 +60,7 @@ def load_coco(path, load_pixels=True):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: bad JSON or bad UTF-8
         raise ParseError(f"cannot read {path}: {e}") from e
     return parse_coco(doc, base_dir=os.path.dirname(os.fspath(path)), load_pixels=load_pixels)
 
@@ -76,7 +76,7 @@ def parse_coco(doc, base_dir="", load_pixels=False):
     for cat in doc["categories"]:
         try:
             categories[int(cat["id"])] = str(cat.get("name", cat["id"]))
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ParseError(f"bad category entry {cat!r}") from e
 
     images = {}
@@ -85,7 +85,7 @@ def parse_coco(doc, base_dir="", load_pixels=False):
             rec = AnnotatedImage(id=int(im["id"]), width=int(im["width"]),
                                  height=int(im["height"]),
                                  file_name=im.get("file_name"))
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ParseError(f"bad image entry {im!r}") from e
         if rec.id in images:
             raise ParseError(f"duplicate image id {rec.id}")
@@ -100,14 +100,14 @@ def parse_coco(doc, base_dir="", load_pixels=False):
         try:
             image_id = int(ann["image_id"])
             category_id = int(ann["category_id"])
-            x, y, w, h = (float(v) for v in ann["bbox"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"bad annotation entry {ann!r}") from e
+            box = BBox(*(float(v) for v in ann["bbox"]))
+        except (KeyError, TypeError, ValueError, OverflowError, InvalidParam) as e:
+            raise ParseError(f"bad annotation entry {ann!r}: {e}") from e
         if image_id not in images:
             raise DanglingReference(f"annotation references missing image {image_id}")
         if category_id not in categories:
             raise DanglingReference(f"annotation references missing category {category_id}")
-        images[image_id].instances.append((BBox(x, y, w, h), category_id))
+        images[image_id].instances.append((box, category_id))
 
     return Dataset(images=list(images.values()), categories=categories)
 

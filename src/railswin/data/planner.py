@@ -58,13 +58,15 @@ def _draw_chain(rng, width, height):
     return chain
 
 
-def plan_and_execute_augmentation(dataset, targets, seed, split="train"):
+def plan_and_execute_augmentation(dataset, targets, seed, split="train", first_id=None):
     """Synthesize augmented copies until every target category count is met.
 
     ``targets`` maps category id to a minimum number of images containing
     that category.  Sources are cycled in id order; transform chains are
     drawn from the given seed, retrying (bounded) when a chain drops every
-    instance of the deficient category.  Returns (plan, augmented dataset).
+    instance of the deficient category.  Synthesized images are numbered
+    from ``first_id``, by default the split's largest id + 1.  Returns
+    (plan, augmented dataset).
     """
     counts = {cid: dataset.image_count(cid) for cid in dataset.categories}
     for cid, want in targets.items():
@@ -76,7 +78,7 @@ def plan_and_execute_augmentation(dataset, targets, seed, split="train"):
     rng = np.random.default_rng(seed)
     plan = AugmentPlan(targets=dict(targets), seed=seed, split=split)
     images = list(dataset.images)
-    next_id = max((im.id for im in images), default=0) + 1
+    next_id = max((im.id for im in images), default=0) + 1 if first_id is None else first_id
 
     for cid in sorted(targets):
         sources = sorted((im for im in dataset.images if cid in im.category_ids()),

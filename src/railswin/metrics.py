@@ -76,22 +76,41 @@ def match_detections(dets, gts, iou_thresh):
     """
     if not 0.0 < iou_thresh <= 1.0:
         raise InvalidParam(f"iou threshold must be in (0, 1], got {iou_thresh}")
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
-    taken = [False] * len(gts)
     labels = [False] * len(dets)
-    for i in order:
-        det = dets[i]
-        best, best_iou = -1, 0.0
-        for j, (gbox, gcat) in enumerate(gts):
-            if taken[j] or gcat != det.category_id:
-                continue
-            ov = iou(det.box, gbox)
-            if ov >= iou_thresh and ov > best_iou:
-                best, best_iou = j, ov
-        if best >= 0:
-            taken[best] = True
-            labels[i] = True
-    return labels, taken.count(False)
+    fn = len(gts)
+    for c in {d.category_id for d in dets}:
+        mine = [i for i, d in enumerate(dets) if d.category_id == c]
+        boxes = [b for b, cat in gts if cat == c]
+        (found,) = _greedy_match([dets[i] for i in mine], boxes, (iou_thresh,))
+        for i, tp in zip(mine, found):
+            labels[i] = tp
+        fn -= sum(found)
+    return labels, fn
+
+
+def _greedy_match(dets, boxes, thresholds):
+    """Labels of same-category ``dets`` against ``boxes``, one list per threshold.
+
+    In score order (ties by input order) each detection takes the untaken
+    box of highest IoU >= the threshold, the first such box on equal IoU.
+    The IoUs and the order are computed once for all thresholds.
+    """
+    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
+    rows = [[iou(dets[i].box, b) for b in boxes] for i in order]
+    out = []
+    for t in thresholds:
+        labels = [False] * len(dets)
+        taken = [False] * len(boxes)
+        for i, row in zip(order, rows):
+            best, best_iou = -1, 0.0
+            for j, ov in enumerate(row):
+                if ov >= t and ov > best_iou and not taken[j]:
+                    best, best_iou = j, ov
+            if best >= 0:
+                taken[best] = True
+                labels[i] = True
+        out.append(labels)
+    return out
 
 
 def average_precision(scored_labels, num_gt):
@@ -136,30 +155,40 @@ def evaluate(dets, dataset, thresholds=(0.5, 0.75), max_dets=100):
     Macro-averages over categories present in the ground truth; a
     category with detections but no ground truth contributes nothing to
     the means (its AP would be 0 by convention, but it is not a member
-    of the averaging set).
+    of the averaging set), nor do detections on images outside the
+    dataset.  Detections and boxes are indexed by (image, category) once,
+    so the cost is linear in the number of images.
     """
     for t in thresholds:
         if not 0.0 < t <= 1.0:
             raise InvalidParam(f"iou threshold must be in (0, 1], got {t}")
-    dets = _cap_per_image(list(dets), max_dets)
+    dets_at = {}
+    for d in _cap_per_image(list(dets), max_dets):
+        dets_at.setdefault((d.image_id, d.category_id), []).append(d)
     gt_by_image = {im.id: im.instances for im in dataset.images}
-    categories = sorted(c for c in dataset.categories
-                        if any(cat == c for inst in gt_by_image.values() for _, cat in inst))
+    boxes_at = {}
+    for image_id, instances in gt_by_image.items():
+        for box, cat in instances:
+            boxes_at.setdefault((image_id, cat), []).append(box)
+    image_ids = sorted(gt_by_image)
+    gt_categories = {c for _, c in boxes_at}
+    categories = sorted(c for c in dataset.categories if c in gt_categories)
 
     ap = {t: {} for t in thresholds}
     recall = {t: {} for t in thresholds}
-    for t in thresholds:
-        for c in categories:
-            scored = []
-            num_gt = 0
-            for image_id, gts in sorted(gt_by_image.items()):
-                gts_c = [(b, cat) for b, cat in gts if cat == c]
-                num_gt += len(gts_c)
-                dets_c = [d for d in dets if d.image_id == image_id and d.category_id == c]
-                labels, _ = match_detections(dets_c, gts_c, t)
-                scored.extend((d.score, tp) for d, tp in zip(dets_c, labels))
-            ap[t][c] = average_precision(scored, num_gt) or 0.0
-            tp_total = sum(1 for _, is_tp in scored if is_tp)
+    for c in categories:
+        scored = [[] for _ in thresholds]
+        num_gt = 0
+        for image_id in image_ids:
+            boxes = boxes_at.get((image_id, c), [])
+            num_gt += len(boxes)
+            found = dets_at.get((image_id, c))
+            if found:
+                for kept, labels in zip(scored, _greedy_match(found, boxes, thresholds)):
+                    kept.extend((d.score, tp) for d, tp in zip(found, labels))
+        for t, kept in zip(thresholds, scored):
+            ap[t][c] = average_precision(kept, num_gt) or 0.0
+            tp_total = sum(1 for _, is_tp in kept if is_tp)
             recall[t][c] = tp_total / num_gt if num_gt else 0.0
 
     t_lo, t_hi = min(thresholds), max(thresholds)
@@ -207,20 +236,19 @@ def load_detections(path):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         raise ParseError(f"cannot read detections {path}: {e}") from e
     if not isinstance(doc, list):
         raise ParseError("detections document must be a JSON list")
     out = []
     for entry in doc:
         try:
-            x, y, w, h = (float(v) for v in entry["bbox"])
             out.append(Detection(image_id=int(entry["image_id"]),
-                                 box=BBox(x, y, w, h),
+                                 box=BBox(*(float(v) for v in entry["bbox"])),
                                  category_id=int(entry["category_id"]),
                                  score=float(entry["score"])))
-        except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"bad detection entry {entry!r}") from e
+        except (KeyError, TypeError, ValueError, OverflowError, InvalidParam) as e:
+            raise ParseError(f"bad detection entry {entry!r}: {e}") from e
     return out
 
 

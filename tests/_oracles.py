@@ -1,12 +1,14 @@
 """Independent reference implementations used to check the real code.
 
 Everything here is deliberately written as plain loops over scalars so it
-shares no code paths with the package.
+shares no code paths with the package, except where a docstring says so.
 """
+
+import numpy as np
 
 from railswin.data.boxes import BBox
 from railswin.data.coco import AnnotatedImage, Dataset
-from railswin.metrics import Detection
+from railswin.metrics import Detection, MetricsReport, PerCategory, average_precision
 
 
 def oracle_iou(a, b):
@@ -85,6 +87,58 @@ def oracle_evaluate(dets, dataset, thresholds, max_dets):
     return map_lo, map_hi, mar
 
 
+def loop_evaluate(dets, dataset, thresholds=(0.5, 0.75), max_dets=100):
+    """The original quadratic ``evaluate``: every (threshold, category, image)
+    triple rescans the whole detection list.  Matching goes through
+    ``oracle_match``; AP through the package's ``average_precision`` so that
+    reports can be compared with ``==``.
+    """
+    by_image = {}
+    for i, d in enumerate(dets):
+        by_image.setdefault(d.image_id, []).append((i, d))
+    kept = []
+    for _, items in sorted(by_image.items()):
+        items.sort(key=lambda t: (-t[1].score, t[0]))
+        kept.extend(i for i, _ in items[:max_dets])
+    dets = [dets[i] for i in sorted(kept)]
+    gt_by_image = {im.id: im.instances for im in dataset.images}
+    categories = sorted(c for c in dataset.categories
+                        if any(cat == c for inst in gt_by_image.values() for _, cat in inst))
+
+    ap = {t: {} for t in thresholds}
+    recall = {t: {} for t in thresholds}
+    for t in thresholds:
+        for c in categories:
+            scored = []
+            num_gt = 0
+            for image_id, gts in sorted(gt_by_image.items()):
+                gts_c = [(b, cat) for b, cat in gts if cat == c]
+                num_gt += len(gts_c)
+                dets_c = [d for d in dets if d.image_id == image_id and d.category_id == c]
+                labels = oracle_match(dets_c, gts_c, t)
+                scored.extend((d.score, tp) for d, tp in zip(dets_c, labels))
+            ap[t][c] = average_precision(scored, num_gt) or 0.0
+            tp_total = sum(1 for _, is_tp in scored if is_tp)
+            recall[t][c] = tp_total / num_gt if num_gt else 0.0
+
+    t_lo, t_hi = min(thresholds), max(thresholds)
+    per_category = []
+    for c in categories:
+        ar = float(np.mean([recall[t][c] for t in thresholds]))
+        per_category.append(PerCategory(
+            category_id=c, name=dataset.categories[c],
+            ap50=ap[t_lo][c], ap75=ap[t_hi][c], ar100=ar))
+    if categories:
+        map_lo = float(np.mean([ap[t_lo][c] for c in categories]))
+        map_hi = float(np.mean([ap[t_hi][c] for c in categories]))
+        mar = float(np.mean([pc.ar100 for pc in per_category]))
+    else:
+        map_lo = map_hi = mar = 0.0
+    return MetricsReport(map50=map_lo, map75=map_hi, mar100=mar,
+                         per_category=per_category, thresholds=tuple(thresholds),
+                         max_dets=max_dets)
+
+
 def random_fixture(rng, max_gt=3, max_dets=5, categories=(1, 2)):
     images = []
     dets = []
@@ -103,6 +157,44 @@ def random_fixture(rng, max_gt=3, max_dets=5, categories=(1, 2)):
                                   category_id=int(rng.choice(categories)),
                                   score=float(rng.random())))
     return dets, Dataset(images=images, categories={c: f"cat{c}" for c in categories})
+
+
+def dense_fixture(rng, num_images, dets_per_image=20, categories=(1, 2, 3), tie_grid=None):
+    """``num_images`` 100x100 images with 0-3 boxes each and exactly
+    ``dets_per_image`` detections per image: jittered copies of four in five
+    boxes (some match at both thresholds, some at 0.5 only, some at neither)
+    topped up with random boxes.  ``tie_grid`` rounds scores to multiples of 1/tie_grid so
+    that many of them tie.
+    """
+    images, dets = [], []
+    for image_id in range(1, num_images + 1):
+        instances = []
+        for _ in range(int(rng.integers(0, 4))):
+            w, h = float(rng.uniform(5, 40)), float(rng.uniform(5, 40))
+            instances.append((BBox(float(rng.uniform(0, 100 - w)), float(rng.uniform(0, 100 - h)),
+                                   w, h), int(rng.choice(categories))))
+        images.append(AnnotatedImage(id=image_id, width=100, height=100, instances=instances))
+        mine = []
+        for box, cat in instances:
+            if rng.random() < 0.2:
+                continue
+            for spread in (0.05, 0.15, 0.3):
+                if len(mine) < dets_per_image:
+                    dx, dy, sw, sh = rng.normal(0.0, spread, 4)
+                    mine.append((BBox(box.x + dx * box.w, box.y + dy * box.h,
+                                      box.w * float(np.exp(sw)), box.h * float(np.exp(sh))), cat))
+        while len(mine) < dets_per_image:
+            mine.append((BBox(float(rng.uniform(0, 80)), float(rng.uniform(0, 80)),
+                              float(rng.uniform(4, 40)), float(rng.uniform(4, 40))),
+                         int(rng.choice(categories))))
+        for box, cat in mine:
+            score = float(rng.random())
+            if tie_grid:
+                score = round(score * tie_grid) / tie_grid
+            dets.append(Detection(image_id=image_id, box=box, category_id=cat, score=score))
+    order = rng.permutation(len(dets))  # detections arrive in no particular image order
+    return ([dets[i] for i in order],
+            Dataset(images=images, categories={c: f"cat{c}" for c in categories}))
 
 
 def oracle_stats(dataset, cid):

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +64,72 @@ def test_preprocess_bad_targets(workspace):
     assert rc == 1
 
 
+def test_preprocess_ids_unique_across_splits(workspace):
+    tmp, ann, _ = workspace
+    targets = tmp / "targets.json"
+    targets.write_text(json.dumps({"fraction": 0.75, "train": {"dark-blob": 12},
+                                   "val": {"dark-blob": 5}}))
+    assert main(["preprocess", str(ann), "--augment-plan", str(targets),
+                 "--seed", "5", "--out", str(tmp / "p")]) == 0
+    ids = {name: {im["id"] for im in
+                  json.loads((tmp / "p" / name / "annotations.json").read_text())["images"]}
+           for name in ("train", "val")}
+    assert ids["train"].isdisjoint(ids["val"])
+    plan = json.loads((tmp / "p" / "plan.json").read_text())
+    new = {name: [r["new_image_id"] for r in plan[name]["records"]] for name in ("train", "val")}
+    assert new["train"] and new["val"]
+    assert set(new["train"]).isdisjoint(new["val"])
+    # synthesized images follow every source id: train's first, then val's
+    assert min(new["train"]) == 25 and min(new["val"]) == max(new["train"]) + 1
+
+
+@pytest.mark.parametrize("content", [
+    None,
+    '{"fraction": 0.75, "train": {',
+    '{"fraction": "abc"}',
+    '{"fraction": NaN}',
+    '{"fraction": [0.5]}',
+    '{"train": {"dark-blob": "x"}}',
+    '{"train": {"dark-blob": Infinity}}',
+    '{"train": {"dark-blob": null}}',
+    '{"train": ["dark-blob"]}',
+    '{"fraction": "0.5"}',
+    '{"fraction": true}',
+    '{"train": {"dark-blob": "12"}}',
+    '{"train": {"dark-blob": 2.7}}',
+    '{"train": {"dark-blob": true}}',
+], ids=["missing-file", "truncated", "fraction-str", "fraction-nan", "fraction-list",
+        "count-str", "count-inf", "count-null", "side-list", "fraction-str-number",
+        "fraction-bool", "count-str-digit", "count-fraction", "count-bool"])
+def test_preprocess_rejects_bad_targets_file(workspace, capsys, content):
+    tmp, ann, _ = workspace
+    targets = tmp / "targets.json"
+    if content is not None:
+        targets.write_text(content)
+    rc = main(["preprocess", str(ann), "--augment-plan", str(targets), "--out", str(tmp / "p3")])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err)
+    assert not (tmp / "p3").exists()
+
+
+@pytest.mark.parametrize("where", ["ground-truth", "detection"])
+def test_eval_rejects_nan_box(workspace, capsys, where):
+    tmp, ann, _ = workspace
+    dets = [{"image_id": 1, "category_id": 1, "bbox": [1, 1, 5, 5], "score": 0.7}]
+    if where == "detection":
+        dets[0]["bbox"][2] = float("nan")
+    else:
+        doc = json.loads(Path(ann).read_text())
+        doc["annotations"][0]["bbox"][0] = float("nan")
+        Path(ann).write_text(json.dumps(doc))
+    dets_path = tmp / "dets.json"
+    dets_path.write_text(json.dumps(dets))
+    rc = main(["eval", "--dets", str(dets_path), "--dataset", str(ann), "--out", str(tmp / "e")])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err)
+    assert not (tmp / "e").exists()
+
+
 def test_train_eval_roundtrip(workspace, capsys):
     tmp, ann, cfg_path = workspace
     assert main(["train", "--config", str(cfg_path), "--out", str(tmp / "t")]) == 0
@@ -101,6 +168,22 @@ def test_eval_with_localization_checkpoint(workspace):
                "--dataset", str(ann), "--out", str(tmp / "el")])
     assert rc == 0
     assert (tmp / "el" / "metrics.json").exists()
+
+
+def test_eval_checkpoint_rejects_missing_image_file(workspace, capsys):
+    tmp, ann, cfg_path = workspace
+    cfg = json.loads(cfg_path.read_text())
+    cfg["task"] = "localization"
+    loc_path = tmp / "loc.json"
+    loc_path.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(loc_path), "--out", str(tmp / "tl")]) == 0
+    capsys.readouterr()
+    sorted(Path(ann).parent.glob("*.pgm"))[3].unlink()
+    rc = main(["eval", "--checkpoint", str(tmp / "tl" / "checkpoint.npz"),
+               "--dataset", str(ann), "--out", str(tmp / "el")])
+    assert rc == 1
+    assert_one_error_line(capsys.readouterr().err)
+    assert not (tmp / "el").exists()
 
 
 def test_gradcheck_command(capsys):
@@ -197,8 +280,11 @@ def edit(doc, path, value):
     (("swin", "input_size"), [30, 30]),
     (("swin",), DELETE),
     (("swin", "seed"), DELETE),
+    (("lr",), float("nan")),
+    (("betas",), [0.9, float("inf")]),
 ], ids=["max_iterations-str", "num_images-str", "embed_dim-str", "embed_dim-float",
-        "max_iterations-negative", "input_size-30", "no-swin", "no-swin-seed"])
+        "max_iterations-negative", "input_size-30", "no-swin", "no-swin-seed", "lr-nan",
+        "betas-inf"])
 def test_train_rejects_bad_config(workspace, capsys, path, value):
     tmp, _, cfg_path = workspace
     doc = json.loads(cfg_path.read_text())

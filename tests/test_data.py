@@ -33,6 +33,12 @@ class TestBBox:
         with pytest.raises(InvalidParam):
             BBox(0, 0, -1, 2)
 
+    @pytest.mark.parametrize("coords", [(float("nan"), 0, 1, 1), (0, float("inf"), 1, 1),
+                                        (0, 0, float("inf"), 1), (0, 0, 1, float("nan"))])
+    def test_non_finite_rejected(self, coords):
+        with pytest.raises(InvalidParam, match="finite"):
+            BBox(*coords)
+
     def test_clamp(self):
         assert BBox(-5, -5, 20, 20).clamped(10, 10) == BBox(0, 0, 10, 10)
         assert BBox(8, 8, 4, 4).clamped(10, 10) == BBox(8, 8, 2, 2)
@@ -85,6 +91,19 @@ class TestCocoLoading:
             parse_coco({"images": []})
         with pytest.raises(ParseError):
             parse_coco([1, 2, 3])
+
+    @pytest.mark.parametrize("section,key,value,entry", [
+        ("annotations", "bbox", [float("nan"), 10, 20, 10], "annotation"),
+        ("annotations", "bbox", [10, 10, float("inf"), 10], "annotation"),
+        ("annotations", "image_id", float("inf"), "annotation"),
+        ("images", "width", float("inf"), "image"),
+        ("categories", "id", float("-inf"), "category"),
+    ], ids=["nan-x", "inf-w", "inf-image-id", "inf-width", "inf-category-id"])
+    def test_non_finite_entry_named(self, section, key, value, entry):
+        doc = minimal_doc()
+        doc[section][0][key] = value
+        with pytest.raises(ParseError, match=f"bad {entry} entry"):
+            parse_coco(json.loads(json.dumps(doc)))
 
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "bad.json"

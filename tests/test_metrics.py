@@ -19,7 +19,14 @@ from railswin.metrics import (
 )
 from railswin.data.stats import CategoryStats
 
-from _oracles import oracle_ap, oracle_evaluate, oracle_iou, random_fixture
+from _oracles import (
+    dense_fixture,
+    loop_evaluate,
+    oracle_ap,
+    oracle_evaluate,
+    oracle_iou,
+    random_fixture,
+)
 
 
 class TestIou:
@@ -204,6 +211,91 @@ class TestEvaluate:
         assert report.map50 == 1.0
 
 
+class TestIndexedEvaluate:
+    """The indexed ``evaluate`` returns the very report of the original loop."""
+
+    def test_dense_fixtures_equal_loop(self):
+        rng = np.random.default_rng(20)
+        for _ in range(30):
+            dets, data = dense_fixture(rng, int(rng.integers(50, 301)))
+            assert len(dets) == 20 * len(data.images)
+            assert evaluate(dets, data) == loop_evaluate(dets, data)
+
+    def test_score_ties_equal_loop(self):
+        rng = np.random.default_rng(21)
+        for grid in (2, 5, 20):
+            dets, data = dense_fixture(rng, 80, tie_grid=grid)
+            rng.shuffle(data.images)  # ties across images break by image id, not list order
+            assert evaluate(dets, data) == loop_evaluate(dets, data)
+            assert evaluate(dets, data, max_dets=7) == loop_evaluate(dets, data, max_dets=7)
+
+    def test_ties_break_by_input_order(self):
+        img = AnnotatedImage(id=1, width=100, height=100, instances=[(BBox(0, 0, 10, 10), 1)])
+        data = Dataset(images=[img], categories={1: "a"})
+        exact = Detection(1, BBox(0, 0, 10, 10), 1, 0.5)
+        miss = Detection(1, BBox(60, 60, 10, 10), 1, 0.5)
+        # first in input order takes the box: AP 1 when it is the hit, 1/2 when not
+        assert evaluate([exact, miss], data).map50 == 1.0
+        assert evaluate([miss, exact], data).map50 == average_precision(
+            [(0.5, False), (0.5, True)], 1)
+        assert evaluate([miss, exact], data) == loop_evaluate([miss, exact], data)
+
+    def test_iou_equal_to_threshold_matches(self):
+        img = AnnotatedImage(id=1, width=100, height=100, instances=[(BBox(0, 0, 10, 20), 1)])
+        data = Dataset(images=[img], categories={1: "a"})
+        dets = [Detection(1, BBox(0, 0, 10, 10), 1, 0.5)]  # IoU exactly 1/2
+        report = evaluate(dets, data)
+        assert (report.map50, report.map75, report.mar100) == (1.0, 0.0, 0.5)
+        assert report == loop_evaluate(dets, data)
+
+    def test_unknown_image_ids_contribute_nothing(self):
+        rng = np.random.default_rng(22)
+        dets, data = dense_fixture(rng, 60)
+        strays = [Detection(image_id, BBox(1, 1, 20, 20), c, 0.99)
+                  for image_id in (0, 61, 10_000) for c in (1, 2, 3)]
+        mixed = strays[:4] + dets + strays[4:]
+        assert evaluate(mixed, data) == loop_evaluate(mixed, data) == evaluate(dets, data)
+
+    def test_categories_without_ground_truth(self):
+        rng = np.random.default_rng(23)
+        dets, data = dense_fixture(rng, 60, categories=(1, 2, 3, 4))
+        for im in data.images:  # category 4 keeps its detections but loses its boxes
+            im.instances = [(b, c) for b, c in im.instances if c != 4]
+        extra = [Detection(d.image_id, d.box, 5, d.score) for d in dets[::7]]  # unlisted id
+        report = evaluate(dets + extra, data)
+        assert report == loop_evaluate(dets + extra, data)
+        assert [pc.category_id for pc in report.per_category] == [1, 2, 3]
+
+    def test_cap_counts_detections_before_category_filter(self):
+        img = AnnotatedImage(id=1, width=100, height=100, instances=[(BBox(0, 0, 10, 10), 1)])
+        data = Dataset(images=[img], categories={1: "a", 2: "b"})
+        dets = [Detection(1, BBox(0, 0, 10, 10), 1, 0.5),
+                Detection(1, BBox(50, 50, 10, 10), 2, 0.9)]  # no category-2 ground truth
+        assert evaluate(dets, data, max_dets=2).map50 == 1.0
+        capped = evaluate(dets, data, max_dets=1)
+        assert capped.map50 == capped.mar100 == 0.0
+        assert capped == loop_evaluate(dets, data, max_dets=1)
+
+    def test_max_dets_1_equals_loop(self):
+        rng = np.random.default_rng(24)
+        for _ in range(3):
+            dets, data = dense_fixture(rng, 100, tie_grid=10)
+            assert evaluate(dets, data, max_dets=1) == loop_evaluate(dets, data, max_dets=1)
+
+    def test_repeated_image_id_equals_loop(self):
+        rng = np.random.default_rng(25)
+        dets, data = dense_fixture(rng, 40)
+        data.images.append(AnnotatedImage(id=3, width=100, height=100,
+                                          instances=[(BBox(5, 5, 30, 30), 2)]))
+        assert evaluate(dets, data) == loop_evaluate(dets, data)
+
+    def test_other_thresholds_equal_loop(self):
+        rng = np.random.default_rng(26)
+        dets, data = dense_fixture(rng, 60)
+        for ts in ((0.3,), (0.5, 0.5), (0.9, 0.4, 0.6)):
+            assert evaluate(dets, data, ts) == loop_evaluate(dets, data, ts)
+
+
 class TestSizeOrderedReport:
     def stats(self, ratios):
         return [CategoryStats(category_id=i + 1, name=f"c{i + 1}", instance_count=1,
@@ -244,6 +336,19 @@ class TestDetectionIO:
         path = tmp_path / "bad.json"
         path.write_text('[{"image_id": 1}]')
         with pytest.raises(ParseError):
+            load_detections(path)
+
+    @pytest.mark.parametrize("entry", [
+        '{"image_id": 1, "category_id": 2, "bbox": [NaN, 2, 3, 4], "score": 0.5}',
+        '{"image_id": 1, "category_id": 2, "bbox": [1, 2, Infinity, 4], "score": 0.5}',
+        '{"image_id": Infinity, "category_id": 2, "bbox": [1, 2, 3, 4], "score": 0.5}',
+        '{"image_id": 1, "category_id": 2, "bbox": [1, 2, 3, 4], "score": NaN}',
+        '{"image_id": 1, "category_id": 2, "bbox": [1, 2, 3], "score": 0.5}',
+    ], ids=["nan-x", "inf-w", "inf-image-id", "nan-score", "three-coordinates"])
+    def test_bad_entry_named(self, tmp_path, entry):
+        path = tmp_path / "bad.json"
+        path.write_text(f"[{entry}]")
+        with pytest.raises(ParseError, match="bad detection entry"):
             load_detections(path)
 
     def test_score_validation(self):

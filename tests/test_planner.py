@@ -75,6 +75,16 @@ class TestPlanner:
             assert a.id == b.id and a.instances == b.instances
             assert np.array_equal(a.pixels, b.pixels)
 
+    def test_numbering_starts_at_first_id(self):
+        data = dataset()
+        targets = {1: data.image_count(1) + 4}
+        plan, _ = plan_and_execute_augmentation(data, targets, seed=6)
+        top = max(im.id for im in data.images)
+        assert [r.new_image_id for r in plan.records] == list(range(top + 1, top + 5))
+        plan, out = plan_and_execute_augmentation(data, targets, seed=6, first_id=500)
+        assert [r.new_image_id for r in plan.records] == [500, 501, 502, 503]
+        assert [im.id for im in out.images[len(data.images):]] == [500, 501, 502, 503]
+
     def test_zero_instance_category_with_target(self):
         data = dataset()
         data.categories[99] = "ghost"

@@ -12,7 +12,7 @@ import pytest
 from railswin import tensor as T
 from railswin.config import from_dict, to_dict
 from railswin.data.boxes import BBox
-from railswin.data.coco import AnnotatedImage
+from railswin.data.coco import AnnotatedImage, Dataset
 from railswin.errors import InvalidParam, NonFiniteLoss, ParseError
 from railswin.metrics import evaluate
 from railswin.swin import CbamPlacement, SwinBackbone, nano_config, tiny_config
@@ -25,6 +25,7 @@ from railswin.train import (
     bench,
     decode_detections,
     head_forward,
+    PREDICT_CHUNK,
     init_head_params,
     load_checkpoint,
     load_train_config,
@@ -107,6 +108,17 @@ class TestConfig:
             TrainConfig(swin=swin, task="segmentation")
         with pytest.raises(InvalidParam):
             TrainConfig(swin=swin, max_iterations=0)
+
+    @pytest.mark.parametrize("key,value,path", [
+        ("lr", float("nan"), "config.lr"),
+        ("weight_decay", float("inf"), "config.weight_decay"),
+        ("betas", [0.9, float("-inf")], "config.betas[1]"),
+    ], ids=["lr-nan", "weight_decay-inf", "betas-inf"])
+    def test_non_finite_number_rejected(self, key, value, path):
+        doc = json.loads(json.dumps(to_dict(quick_cfg())))
+        doc[key] = value
+        with pytest.raises(ParseError, match=re.escape(path)):
+            from_dict(TrainConfig, json.loads(json.dumps(doc)))
 
     def test_load_from_file(self, tmp_path):
         cfg = quick_cfg()
@@ -320,3 +332,54 @@ class TestPrediction:
         res = train(quick_cfg(iters=2, n=12))
         with pytest.raises(InvalidParam):
             predict_detections(res.backbone, res.head, res.data)
+
+    def per_image(self, backbone, head, dataset):
+        """One forward per image: what predict_detections did before batching."""
+        stride = backbone.cfg.patch_size * 4
+        out = []
+        with no_grad():
+            for im in dataset.images:
+                raw = head_forward(backbone.forward(_image_tensor([im])), head)
+                out.extend(decode_detections(raw.data[0], (im.height // stride, im.width // stride),
+                                             stride, im.id, (im.height, im.width),
+                                             sorted(dataset.categories)))
+        return out
+
+    def mixed_sizes(self):
+        # runs of 32x32 and 64x64 images; the 32x32 runs are longer than a chunk
+        rng = np.random.default_rng(11)
+        sizes = [32] * 19 + [64] * 3 + [32] * 2 + [64] * 18 + [32]
+        assert max(sizes.count(32), sizes.count(64)) > PREDICT_CHUNK
+        images = [AnnotatedImage(id=100 - i, width=s, height=s,
+                                 pixels=rng.integers(0, 256, (s, s), dtype=np.uint8))
+                  for i, s in enumerate(sizes)]
+        return Dataset(images=images, categories={1: "a", 2: "b", 3: "c"})
+
+    def model(self, placement):
+        backbone = SwinBackbone(nano_config(placement=placement, seed=2))
+        head = init_head_params(backbone.cfg, 3, "localization")
+        rng = np.random.default_rng(12)
+        head.w.data = rng.normal(0.0, 0.5, head.w.shape)
+        head.b.data = rng.normal(0.0, 0.5, head.b.shape)
+        return backbone, head
+
+    def test_batched_equals_per_image_without_gates(self):
+        data = self.mixed_sizes()
+        backbone, head = self.model(CbamPlacement.NONE)
+        want = self.per_image(backbone, head, data)
+        assert len({d.image_id for d in want}) > 2 * PREDICT_CHUNK
+        assert predict_detections(backbone, head, data) == want
+
+    def test_batched_matches_per_image_with_block_gates(self):
+        # a BLAS product over 16 rows may sum in another order than over one
+        data = self.mixed_sizes()
+        backbone, head = self.model(CbamPlacement.BLOCK)
+        want = self.per_image(backbone, head, data)
+        got = predict_detections(backbone, head, data)
+        assert [(d.image_id, d.category_id) for d in got] == \
+            [(d.image_id, d.category_id) for d in want]
+        for g, w in zip(got, want):
+            assert g.score == pytest.approx(w.score, rel=0, abs=1e-12)
+            for a, b in zip((g.box.x, g.box.y, g.box.w, g.box.h),
+                            (w.box.x, w.box.y, w.box.w, w.box.h)):
+                assert a == pytest.approx(b, rel=0, abs=1e-12)
