@@ -1,0 +1,110 @@
+"""Time the tape's hot path: GELU, AdamW, nano and full-size training steps.
+
+    PYTHONPATH=src python3 scripts/bench_hotpath.py
+
+Prints one JSON document of median and min milliseconds over REPEATS runs
+(NANO_ITERS iterations for the nano loop) of:
+
+- ``gelu``: one forward and one backward call at the stage-0 MLP shapes
+  of the nano config (batch 16, 32x32) and the full-size config (batch 1,
+  224x224);
+- ``adamw_step``: one step over the full-size backbone's parameters with
+  random gradients;
+- ``nano_iteration``: one training iteration at batch 16 for placements
+  ``none`` and ``block``, from ``train.bench`` after its warmup;
+- ``full``: one full-size forward under ``no_grad`` and one training
+  iteration at batch 1, from ``train.bench`` after its warmup.
+
+BLAS runs single-threaded.  Point PYTHONPATH at another checkout's ``src``
+to time that one on the same inputs.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import statistics
+import time
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+from railswin import tensor as T  # noqa: E402
+from railswin.optim import AdamState, adamw_step  # noqa: E402
+from railswin.swin import CbamPlacement, SwinBackbone, nano_config, tiny_config  # noqa: E402
+from railswin.synth import SyntheticSpec  # noqa: E402
+from railswin.train import WARMUP_ITERS, TrainConfig, bench  # noqa: E402
+
+REPEATS = 5
+NANO_ITERS = 20
+
+
+def stage0_mlp_shape(cfg, batch):
+    tokens = (cfg.input_size[0] // cfg.patch_size) * (cfg.input_size[1] // cfg.patch_size)
+    return (batch, tokens, int(cfg.embed_dim * cfg.mlp_ratio))
+
+
+def summary(seconds):
+    return {"median_ms": 1e3 * statistics.median(seconds), "min_ms": 1e3 * min(seconds),
+            "runs": len(seconds)}
+
+
+def timed(fn, repeats=REPEATS):
+    seconds = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        seconds.append(time.perf_counter() - t0)
+    return seconds
+
+
+def time_gelu(shape):
+    x = T.Tensor(np.random.default_rng(0).normal(size=shape), requires_grad=True)
+    y = T.gelu(x)
+    y.grad = np.ones(shape)
+
+    def bwd():
+        x.grad = None
+        y._backward(y)
+
+    return {"shape": list(shape), "forward": summary(timed(lambda: T.gelu(x))),
+            "backward": summary(timed(bwd))}
+
+
+def time_adamw():
+    backbone = SwinBackbone(tiny_config(seed=0))
+    params = [t for _, t in backbone.named_parameters()]
+    rng = np.random.default_rng(0)
+    grads = [rng.normal(size=p.shape) for p in params]
+    state = AdamState.init(params)
+    s = timed(lambda: adamw_step(params, grads, state, 1e-3, weight_decay=0.05))
+    return {"tensors": len(params), "values": sum(p.size for p in params), **summary(s)}
+
+
+def train_iterations(swin, batch, iters):
+    spec = SyntheticSpec(num_images=batch * 2, image_size=swin.input_size, seed=0)
+    cfg = TrainConfig(swin=swin, batch_size=batch, seed=0, synthetic=spec)
+    return summary(bench(cfg, WARMUP_ITERS + iters).retained())
+
+
+def main():
+    nano, full = nano_config(), tiny_config()
+    result = {"gelu": {"nano": time_gelu(stage0_mlp_shape(nano, 16)),
+                       "full": time_gelu(stage0_mlp_shape(full, 1))},
+              "adamw_step": time_adamw(),
+              "nano_iteration": {p.value: train_iterations(nano_config(p, seed=0), 16, NANO_ITERS)
+                                 for p in (CbamPlacement.NONE, CbamPlacement.BLOCK)}}
+    backbone = SwinBackbone(full)
+    image = T.Tensor(np.random.default_rng(0).normal(size=(1, 1) + full.input_size))
+    with T.no_grad():
+        backbone.forward(image)  # first call faults in the activations' pages
+        forward = summary(timed(lambda: backbone.forward(image)))
+    result["full"] = {"no_grad_forward": forward,
+                      "train_iteration": train_iterations(full, 1, REPEATS)}
+    print(json.dumps(result, indent=1))
+
+
+if __name__ == "__main__":
+    main()

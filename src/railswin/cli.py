@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from . import tensor as T
+from .atomic import atomic_open
 from .cbam import ChannelAttentionParams, channel_attention_map
 from .data.coco import load_coco, save_dataset
 from .data.enhance import enhance
@@ -49,7 +50,7 @@ def cmd_stats(args):
     print(csv_text, end="")
     if args.out:
         out = _ensure_out(args)
-        with open(os.path.join(out, "stats.csv"), "w") as fh:
+        with atomic_open(os.path.join(out, "stats.csv")) as fh:
             fh.write(csv_text)
     return 0
 
@@ -119,7 +120,7 @@ def cmd_preprocess(args):
         save_dataset(augmented, os.path.join(out, name))
         print(f"{name}: {len(augmented.images)} images "
               f"({len(plan.records)} synthesized)")
-    with open(os.path.join(out, "plan.json"), "w") as fh:
+    with atomic_open(os.path.join(out, "plan.json")) as fh:
         fh.write(json.dumps({name: json.loads(p.to_json()) for name, p in plans.items()},
                             indent=1, sort_keys=True))
         fh.write("\n")
@@ -151,15 +152,15 @@ def cmd_eval(args):
         raise InvalidParam("eval needs --dets or --checkpoint")
     report = evaluate(dets, data)
     out = _ensure_out(args)
-    with open(os.path.join(out, "metrics.json"), "w") as fh:
+    with atomic_open(os.path.join(out, "metrics.json")) as fh:
         json.dump(report_to_dict(report), fh, indent=1, sort_keys=True)
         fh.write("\n")
-    with open(os.path.join(out, "metrics.csv"), "w") as fh:
+    with atomic_open(os.path.join(out, "metrics.csv")) as fh:
         fh.write(report_to_csv(report))
     stats = category_stats(data)
     try:
         _, csv_text = size_ordered_report(report, stats)
-        with open(os.path.join(out, "size_ordered.csv"), "w") as fh:
+        with atomic_open(os.path.join(out, "size_ordered.csv")) as fh:
             fh.write(csv_text)
     except RailswinError as e:
         print(f"size-ordered report skipped: {e}", file=sys.stderr)
@@ -206,7 +207,7 @@ def cmd_ablate(args):
                 CbamPlacement.STAGE, CbamPlacement.BLOCK]
     result = run_ablation(cfg, variants=variants, seeds=seeds)
     out = _ensure_out(args)
-    with open(os.path.join(out, "ablation.csv"), "w") as fh:
+    with atomic_open(os.path.join(out, "ablation.csv")) as fh:
         fh.write(result.to_csv())
     print(result.to_csv(), end="")
     return 0
@@ -216,7 +217,7 @@ def cmd_bench(args):
     cfg = load_train_config(args.config)
     timing = bench(cfg, args.iters)
     out = _ensure_out(args)
-    with open(os.path.join(out, "timing.csv"), "w") as fh:
+    with atomic_open(os.path.join(out, "timing.csv")) as fh:
         fh.write(timing.to_csv())
     print(f"{timing.mean():.4f}s ± {timing.std():.4f}s per iteration "
           f"({len(timing.retained())} measured after {timing.warmup} warmup)")

@@ -37,6 +37,13 @@ def adamw_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8, weight_de
     state.t += 1
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
+    # Two scratch buffers, sized for the largest gradient, hold every
+    # temporary.  Each ufunc call below is one operation of
+    #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+    #   p -= (lr * (m/bc1)) / (sqrt(v/bc2) + eps)
+    # in that order, so the update is bit-identical to the expression form.
+    size = max((g.size for g in grads if g is not None), default=0)
+    buf1, buf2 = np.empty(size), np.empty(size)
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if weight_decay:
             p.data *= 1.0 - lr * weight_decay
@@ -44,9 +51,20 @@ def adamw_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8, weight_de
             continue
         if g.shape != p.data.shape:
             raise ShapeMismatch(f"adamw_step: grad {g.shape} != param {p.data.shape}")
+        s1 = buf1[:g.size].reshape(g.shape)
+        s2 = buf2[:g.size].reshape(g.shape)
         m *= b1
-        m += (1.0 - b1) * g
+        np.multiply(g, 1.0 - b1, out=s1)
+        m += s1
         v *= b2
-        v += (1.0 - b2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        np.multiply(g, 1.0 - b2, out=s1)
+        s1 *= g
+        v += s1
+        np.divide(m, bc1, out=s1)
+        s1 *= lr
+        np.divide(v, bc2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += eps
+        s1 /= s2
+        p.data -= s1
     return state

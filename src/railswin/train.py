@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
+from .atomic import atomic_open
 from .config import from_dict, to_dict
 from .data.coco import Dataset, load_coco
 from .data.stats import category_stats
@@ -274,14 +275,8 @@ def save_checkpoint(path, cfg, backbone, head, adam_state, named, iteration):
         "num_classes": head.num_classes,
         "param_names": [name for name, _ in named],
     }
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with atomic_open(path, "wb") as fh:
+        np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
 
 
 def load_checkpoint(path):
@@ -416,16 +411,16 @@ def train(cfg, out_dir=None, resume=None, data=None):
                          data=data, cat_index=cat_index)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "loss_curve.csv"), "w") as fh:
+        with atomic_open(os.path.join(out_dir, "loss_curve.csv")) as fh:
             fh.write(result.loss_curve_csv())
-        with open(os.path.join(out_dir, "timing.csv"), "w") as fh:
+        with atomic_open(os.path.join(out_dir, "timing.csv")) as fh:
             fh.write(timing.to_csv())
         ckpt = os.path.join(out_dir, "checkpoint.npz")
         named = backbone.named_parameters() + head.named_parameters()
         save_checkpoint(ckpt, cfg, backbone, head, adam_state, named, iteration)
         result.checkpoint_path = ckpt
     if cfg.timing_log_path:
-        with open(cfg.timing_log_path, "w") as fh:
+        with atomic_open(cfg.timing_log_path) as fh:
             fh.write(timing.to_csv())
     return result
 

@@ -209,3 +209,45 @@ def oracle_stats(dataset, cid):
                 hs.append(box.h)
     n = len(areas)
     return (sum(areas) / n, sum(ratios) / n, sum(ws) / n, sum(hs) / n, n)
+
+
+# ---------------------------------------------------------------------------
+# The two functions below are the package's earlier implementations, kept
+# verbatim so the rewritten hot path can be held to them with ``==``.
+
+
+def oracle_accum(t, g):
+    """``tensor._accum`` before copy-free accumulation: zeros, then ``+=``."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    t.grad += g
+
+
+def oracle_adamw_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+    """``optim.adamw_step`` before the in-place rewrite: one temporary per operation."""
+    b1, b2 = betas
+    state.t += 1
+    bc1 = 1.0 - b1**state.t
+    bc2 = 1.0 - b2**state.t
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        if weight_decay:
+            p.data *= 1.0 - lr * weight_decay
+        if g is None:
+            continue
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    return state
+
+
+def oracle_gelu(xd):
+    """GELU and its derivative in the earlier ``xd**3`` / ``xd**2`` / ``t**2`` form."""
+    c, a = np.sqrt(2.0 / np.pi), 0.044715
+    t = np.tanh(c * (xd + a * xd**3))
+    y = 0.5 * xd * (1.0 + t)
+    dy = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t**2) * (c * (1.0 + 3.0 * a * xd**2))
+    return y, dy

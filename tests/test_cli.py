@@ -350,3 +350,27 @@ def test_wrong_json_type_exits_1_with_one_line(tmp_path_factory, path, value):
     assert rc == 1
     assert_one_error_line(err.getvalue())
     assert not (tmp / "out").exists()
+
+
+def test_eval_write_failing_partway_keeps_previous_artifacts(workspace, monkeypatch, capsys):
+    """A disk-full error in the middle of metrics.json leaves the last run's files intact."""
+    tmp, ann, _ = workspace
+    dets_path = tmp / "dets.json"
+    dets_path.write_text(json.dumps([{"image_id": 1, "category_id": 1,
+                                      "bbox": [1, 1, 5, 5], "score": 0.7}]))
+    args = ["eval", "--dets", str(dets_path), "--dataset", str(ann), "--out", str(tmp / "e")]
+    assert main(args) == 0
+    before = {p.name: p.read_bytes() for p in (tmp / "e").iterdir()}
+    assert set(before) == {"metrics.json", "metrics.csv", "size_ordered.csv"}
+
+    def disk_full(obj, fh, **kwargs):
+        fh.write('{\n "map50": ')
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(json, "dump", disk_full)
+    dets_path.write_text(json.dumps([{"image_id": 2, "category_id": 2,
+                                      "bbox": [2, 2, 9, 9], "score": 0.4}]))
+    assert main(args) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "runtime failure: [Errno 28] No space left on device"]
+    assert {p.name: p.read_bytes() for p in (tmp / "e").iterdir()} == before

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _oracles import oracle_adamw_step
 from railswin.errors import ShapeMismatch
 from railswin.optim import AdamState, adamw_step
 from railswin.tensor import Tensor
@@ -72,3 +73,27 @@ def test_shape_mismatch():
     state = AdamState.init([p])
     with pytest.raises(ShapeMismatch):
         adamw_step([p], [np.zeros(3)], state, lr=0.1)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+def test_in_place_update_is_bit_identical_to_expression_form(weight_decay):
+    """Five steps over 0-d to 4-d tensors, one of them without a gradient, equal with ==."""
+    r = np.random.default_rng(3)
+    shapes = [(), (7,), (3, 5), (2, 3, 4), (2, 2, 3, 3), (4,)]
+    init = [r.normal(size=s) for s in shapes]
+    mine = [Tensor(a.copy(), requires_grad=True) for a in init]
+    ref = [Tensor(a.copy(), requires_grad=True) for a in init]
+    s_mine, s_ref = AdamState.init(mine), AdamState.init(ref)
+    for step in range(5):
+        grads = [r.normal(size=s) * 10.0 ** r.integers(-6, 3) for s in shapes]
+        grads[5] = None if step % 2 == 0 else grads[5]
+        grads[3] = grads[3].transpose(2, 0, 1).copy().transpose(1, 2, 0)  # non-contiguous
+        adamw_step(mine, grads, s_mine, lr=3e-3, betas=(0.9, 0.999), eps=1e-8,
+                   weight_decay=weight_decay)
+        oracle_adamw_step(ref, grads, s_ref, lr=3e-3, betas=(0.9, 0.999), eps=1e-8,
+                          weight_decay=weight_decay)
+        assert s_mine.t == s_ref.t == step + 1
+        for a, b, ma, mb, va, vb in zip(mine, ref, s_mine.m, s_ref.m, s_mine.v, s_ref.v):
+            assert np.array_equal(a.data, b.data)
+            assert np.array_equal(ma, mb) and np.array_equal(va, vb)
+    assert not np.array_equal(mine[0].data, init[0])  # the steps did move the parameters

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _oracles import oracle_accum, oracle_gelu
 from railswin import tensor as T
 from railswin.errors import InvalidParam, NoTape, NonFinite, NotScalar, ShapeMismatch
 from railswin.tensor import Tensor, backward, grad_check
@@ -203,6 +204,28 @@ class TestGelu:
         x = Tensor(rng(0).normal(size=(3, 3)))
         assert grad_check(lambda t: T.tsum(T.gelu(t)), x, eps=1e-5) < 1e-4
 
+    def test_within_two_ulp_of_pow_form(self):
+        """Products in place of ``xd**3``, ``xd**2``, ``t**2`` move each value by at most 2 ulp.
+
+        The ulp is taken of the terms the formula adds: for x >= 0 that is
+        the plain relative error.  For x < 0, ``1 + t`` and ``1 - t*t``
+        cancel (t -> -1), and there a 1-ulp change of ``t`` is a relative
+        change of up to 3e-13 in the result for either form.
+        """
+        xd = np.concatenate([rng(7).uniform(-10.0, 10.0, 100_000), [0.0, 1e3, -1e3]])
+        x = Tensor(xd, requires_grad=True)
+        backward(T.tsum(T.gelu(x)))
+        y_ref, dy_ref = oracle_gelu(xd)
+        t = np.abs(np.tanh(np.sqrt(2.0 / np.pi) * (xd + 0.044715 * xd**3)))
+        dinner = np.sqrt(2.0 / np.pi) * (1.0 + 3.0 * 0.044715 * xd**2)
+        y_scale = 0.5 * np.abs(xd) * (1.0 + t)
+        dy_scale = 0.5 * (1.0 + t) + 0.5 * np.abs(xd) * (1.0 + t * t) * dinner
+        assert np.all(np.abs(T.gelu(x).data - y_ref) <= 4.5e-16 * y_scale)
+        assert np.all(np.abs(x.grad - dy_ref) <= 4.5e-16 * dy_scale)
+        pos = xd >= 0
+        assert np.all(y_scale[pos] == np.abs(y_ref[pos]))  # plain relative error for x >= 0
+        assert T.gelu(Tensor([0.0, 1e3, -1e3])).data.tolist() == [0.0, 1e3, -0.0]
+
 
 class TestPooling:
     def test_constant_channel(self):
@@ -275,6 +298,95 @@ class TestBackward:
         x = Tensor([3.0], requires_grad=True)
         backward(T.tsum(x * x + x))
         assert x.grad.tolist() == [7.0]
+
+    def test_stored_gradients_are_never_written(self):
+        """A .grad may be an upstream gradient itself; accumulating more must not change it."""
+        x = Tensor(rng(1).normal(size=(2, 3)), requires_grad=True)
+        y = x + 0.0  # add hands its output gradient to x as is
+        loss = T.tsum(y * 2.0 + y.reshape(3, 2).reshape(2, 3))
+        backward(loss)
+        assert np.array_equal(x.grad, np.full((2, 3), 3.0))
+        assert np.array_equal(y.grad, np.full((2, 3), 3.0))
+
+
+def _assert_grads_equal_to_oracle_accum(monkeypatch, build):
+    """Run ``build()`` and backward twice, new ``_accum`` against the zeros-and-+= one."""
+    def grads():
+        loss = build()
+        nodes = T._topo_order(loss)
+        backward(loss)
+        first = [None if n.grad is None else np.array(n.grad) for n in nodes]
+        backward(loss)  # a second call in a row gives the same gradients
+        for n, g in zip(nodes, first):
+            assert (n.grad is None) == (g is None)
+            if g is not None:
+                assert np.array_equal(n.grad, g)
+                assert n.grad.shape == n.data.shape and n.grad.dtype == np.float64
+        return first
+
+    mine = grads()
+    with monkeypatch.context() as m:
+        m.setattr(T, "_accum", oracle_accum)
+        ref = grads()
+    assert len(mine) == len(ref)
+    for a, b in zip(mine, ref):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert np.array_equal(a, b)
+
+
+class TestAccumOracle:
+    def test_tensor_consumed_three_times(self, monkeypatch):
+        r = rng(2)
+        x = Tensor(r.normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(r.normal(size=(4, 4)), requires_grad=True)
+        b = Tensor(r.normal(size=(4,)), requires_grad=True)
+
+        def build():
+            h = T.linear(x, w, b)
+            return T.tsum(T.gelu(h) * h + T.softmax(h, -1) * x + T.transpose(h, (1, 0)).sum(axis=1))
+
+        _assert_grads_equal_to_oracle_accum(monkeypatch, build)
+        assert x.grad.shape == (3, 4) and b.grad.shape == (4,)
+
+    def test_transposed_gradient_reaches_a_reduction(self, monkeypatch):
+        """A transposed view stored as is would change layer_norm's summation order."""
+        r = rng(5)
+        x = Tensor(r.normal(size=(24, 40)), requires_grad=True)
+        g = Tensor(r.normal(size=(40,)), requires_grad=True)
+        b = Tensor(r.normal(size=(40,)), requires_grad=True)
+        probe = Tensor(r.normal(size=(40, 24)))
+        _assert_grads_equal_to_oracle_accum(
+            monkeypatch, lambda: T.tsum(T.transpose(T.layer_norm(x, g, b), (1, 0)) * probe))
+
+    def test_0d_operands(self, monkeypatch):
+        s = Tensor(1.5, requires_grad=True)
+        x = Tensor(rng(3).normal(size=(5,)), requires_grad=True)
+        _assert_grads_equal_to_oracle_accum(monkeypatch, lambda: T.tsum(-(x * s)) * s + s)
+
+    def test_nano_block_backward(self, monkeypatch):
+        from railswin.swin import CbamPlacement, SwinBackbone, nano_config
+        from railswin.synth import SyntheticSpec, generate_synthetic
+        from railswin.train import _image_tensor, head_forward, init_head_params, localization_loss
+
+        data = generate_synthetic(SyntheticSpec(num_images=4, image_size=(32, 32), seed=3))
+        backbone = SwinBackbone(nano_config(CbamPlacement.BLOCK, seed=0))
+        head = init_head_params(backbone.cfg, len(data.categories), "localization")
+        r = rng(4)
+        for _, t in backbone.named_parameters() + head.named_parameters():
+            t.data = t.data + r.normal(0.0, 0.2, t.shape)  # no zero-initialized branch
+        cat_index = {c: i for i, c in enumerate(sorted(data.categories))}
+        stride = backbone.cfg.patch_size * 4
+        grid = (32 // stride, 32 // stride)
+        x = _image_tensor(data.images)
+
+        def build():
+            raw = head_forward(backbone.forward(x), head)
+            return localization_loss(raw, data.images, grid, stride, cat_index)
+
+        _assert_grads_equal_to_oracle_accum(monkeypatch, build)
+        nonzero = [n for n, t in backbone.named_parameters() if t.grad is not None and t.grad.any()]
+        assert len(nonzero) > 50 and any(".cbam." in n for n in nonzero)
 
 
 class TestGradCheck:

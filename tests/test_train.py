@@ -383,3 +383,39 @@ class TestPrediction:
             for a, b in zip((g.box.x, g.box.y, g.box.w, g.box.h),
                             (w.box.x, w.box.y, w.box.w, w.box.h)):
                 assert a == pytest.approx(b, rel=0, abs=1e-12)
+
+
+class TestAtomicArtifacts:
+    def test_failed_write_keeps_previous_file_and_leaves_no_tmp(self, tmp_path):
+        from railswin.atomic import atomic_open
+
+        for mode, old, part in (("w", "a,b\n1,2\n", "a,b\n9"), ("wb", b"\x00old", b"\x01")):
+            path = tmp_path / f"artifact{mode}"
+            with atomic_open(path, mode) as fh:
+                fh.write(old)
+            with pytest.raises(RuntimeError):
+                with atomic_open(path, mode) as fh:
+                    fh.write(part)
+                    raise RuntimeError("interrupted")
+            assert path.read_bytes() == (old.encode() if mode == "w" else old)
+        with pytest.raises(RuntimeError):
+            with atomic_open(tmp_path / "new.csv") as fh:
+                fh.write("x")
+                raise RuntimeError("interrupted")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifactw", "artifactwb"]
+
+    def test_train_timing_failure_keeps_previous_timing_csv(self, tmp_path, monkeypatch):
+        from railswin.train import IterTimingLog
+
+        train(quick_cfg(iters=1), out_dir=tmp_path)
+        before = (tmp_path / "timing.csv").read_bytes()
+
+        def interrupted(self):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(IterTimingLog, "to_csv", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            train(quick_cfg(iters=2), out_dir=tmp_path)
+        assert (tmp_path / "timing.csv").read_bytes() == before
+        assert len((tmp_path / "loss_curve.csv").read_text().splitlines()) == 3
+        assert sorted(os.listdir(tmp_path)) == ["checkpoint.npz", "loss_curve.csv", "timing.csv"]
