@@ -15,6 +15,13 @@ Prints one JSON document of median and min milliseconds over REPEATS runs
 - ``full``: one full-size forward under ``no_grad`` and one training
   iteration at batch 1, from ``train.bench`` after its warmup.
 
+It also prints two counts: ``tape_nodes``, the nodes one nano training
+iteration (batch 16) records, for placements ``none`` and ``block`` and
+both tasks; and ``full_rounds``, the minor page faults, system and wall
+seconds of FULL_ROUNDS back-to-back full-size rounds in this process (each
+trains FULL_ROUND_ITERS iterations at batch 1, then runs FULL_ROUND_FORWARDS
+``no_grad`` forwards), from ``resource.getrusage``, with the peak RSS.
+
 BLAS runs single-threaded.  Point PYTHONPATH at another checkout's ``src``
 to time that one on the same inputs.
 """
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import statistics
 import time
 
@@ -35,10 +43,13 @@ from railswin import tensor as T  # noqa: E402
 from railswin.optim import AdamState, adamw_step  # noqa: E402
 from railswin.swin import CbamPlacement, SwinBackbone, nano_config, tiny_config  # noqa: E402
 from railswin.synth import SyntheticSpec  # noqa: E402
-from railswin.train import WARMUP_ITERS, TrainConfig, bench  # noqa: E402
+from railswin.train import TASKS, WARMUP_ITERS, TrainConfig, bench, train  # noqa: E402
 
 REPEATS = 5
 NANO_ITERS = 20
+FULL_ROUNDS = 3
+FULL_ROUND_ITERS = 4
+FULL_ROUND_FORWARDS = 2
 
 
 def stage0_mlp_shape(cfg, batch):
@@ -89,9 +100,54 @@ def train_iterations(swin, batch, iters):
     return summary(bench(cfg, WARMUP_ITERS + iters).retained())
 
 
+def tape_nodes(placement, task):
+    """Tape nodes recorded by one nano training iteration at batch 16."""
+    spec = SyntheticSpec(num_images=32, image_size=(32, 32), seed=0)
+    cfg = TrainConfig(swin=nano_config(placement, seed=0), batch_size=16, seed=0,
+                      synthetic=spec, task=task, max_iterations=1, epochs=1)
+    make, calls = T._make, [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return make(*args)
+
+    T._make = counting
+    try:
+        train(cfg)
+    finally:
+        T._make = make
+    return calls[0]
+
+
+def full_rounds():
+    """Page faults and times of back-to-back full-size train + forward rounds."""
+    full = tiny_config()
+    spec = SyntheticSpec(num_images=4, image_size=full.input_size, seed=0)
+    cfg = TrainConfig(swin=full, batch_size=1, seed=0, synthetic=spec,
+                      max_iterations=FULL_ROUND_ITERS, epochs=FULL_ROUND_ITERS)
+    image = T.Tensor(np.random.default_rng(0).normal(size=(1, 1) + full.input_size))
+    rounds = []
+    for _ in range(FULL_ROUNDS):
+        before, t0 = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
+        result = train(cfg)
+        with T.no_grad():
+            for _ in range(FULL_ROUND_FORWARDS):
+                result.backbone.forward(image)
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        rounds.append({"minor_faults": after.ru_minflt - before.ru_minflt,
+                       "system_s": round(after.ru_stime - before.ru_stime, 2),
+                       "wall_s": round(time.perf_counter() - t0, 2)})
+        del result
+    return {"rounds": rounds,
+            "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)}
+
+
 def main():
     nano, full = nano_config(), tiny_config()
-    result = {"gelu": {"nano": time_gelu(stage0_mlp_shape(nano, 16)),
+    result = {"tape_nodes": {p.value: {task: tape_nodes(p, task) for task in TASKS}
+                             for p in (CbamPlacement.NONE, CbamPlacement.BLOCK)},
+              "full_rounds": full_rounds(),
+              "gelu": {"nano": time_gelu(stage0_mlp_shape(nano, 16)),
                        "full": time_gelu(stage0_mlp_shape(full, 1))},
               "adamw_step": time_adamw(),
               "nano_iteration": {p.value: train_iterations(nano_config(p, seed=0), 16, NANO_ITERS)

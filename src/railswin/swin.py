@@ -16,6 +16,17 @@ attention can be inserted at one of three levels:
 Token layouts: flat tokens are [..., L, D]; grids are [..., H, W, D];
 maps are [..., D, H, W].  A single leading batch axis is supported
 everywhere.
+
+A block's attention branch records five tape nodes: ``window_partition``
+(cyclic shift and windowing), the qkv ``linear``, the attention core
+(q/k/v split, scaling, QK^T, relative-position bias, shift mask, softmax,
+attn @ V and the head merge), the output ``linear``, and
+``window_reverse`` (un-windowing and the shift back).  Each of the three
+fused nodes has a hand-written backward that runs the numpy calls of the
+single-op chain it replaces, in the same order and on the same memory
+layouts, so forward values and every gradient are bit-identical to that
+chain (``tests/_oracles.py`` keeps it as the reference).  The zero pad and
+crop for grids smaller than a window stay ordinary ops.
 """
 
 from __future__ import annotations
@@ -264,35 +275,65 @@ def _chw_to_grid(chw):
     return T.transpose(chw, tuple(range(n - 3)) + (n - 2, n - 1, n - 3))
 
 
-def window_partition(tokens, window):
-    """[..., H, W, D] -> [..., num_windows, window^2, D], row-major windows."""
+def _partition(d, window, shift):
+    """numpy body of :func:`window_partition`; also its inverse's backward."""
+    lead = d.shape[:-3]
+    n = len(lead)
+    H, W, D = d.shape[-3:]
+    if shift:
+        d = np.roll(d, (-shift, -shift), axis=(n, n + 1))
+    d = d.reshape(lead + (H // window, window, W // window, window, D))
+    d = d.transpose(tuple(range(n)) + (n, n + 2, n + 1, n + 3, n + 4))
+    return d.reshape(lead + ((H // window) * (W // window), window * window, D))
+
+
+def _reverse(d, H, W, shift):
+    """numpy body of :func:`window_reverse`; also its inverse's backward."""
+    lead = d.shape[:-3]
+    n = len(lead)
+    D = d.shape[-1]
+    window = math.isqrt(d.shape[-2])
+    d = d.reshape(lead + (H // window, W // window, window, window, D))
+    d = d.transpose(tuple(range(n)) + (n, n + 2, n + 1, n + 3, n + 4))
+    d = d.reshape(lead + (H, W, D))
+    if shift:
+        d = np.roll(d, (shift, shift), axis=(n, n + 1))
+    return d
+
+
+def window_partition(tokens, window, shift=0):
+    """[..., H, W, D] -> [..., num_windows, window^2, D], row-major windows.
+
+    With ``shift`` the grid is first rolled by (-shift, -shift), the cyclic
+    shift of a shifted-window block.  One tape node.
+    """
     if tokens.ndim < 3:
         raise ShapeMismatch(f"window_partition needs [..., H, W, D], got {tokens.shape}")
-    H, W, D = tokens.shape[-3:]
+    H, W, _ = tokens.shape[-3:]
     if H % window or W % window:
         raise IndivisibleInput(f"grid {H}x{W} not divisible by window {window}")
-    lead = tokens.shape[:-3]
-    n = len(lead)
-    x = T.reshape(tokens, lead + (H // window, window, W // window, window, D))
-    x = T.transpose(x, tuple(range(n)) + (n, n + 2, n + 1, n + 3, n + 4))
-    return T.reshape(x, lead + ((H // window) * (W // window), window * window, D))
+
+    def backward(out):
+        T._accum(tokens, _reverse(out.grad, H, W, shift))
+
+    return T._make(_partition(tokens.data, window, shift), (tokens,), backward)
 
 
-def window_reverse(windows, H, W):
-    """Exact inverse of :func:`window_partition` for an H x W grid."""
+def window_reverse(windows, H, W, shift=0):
+    """Exact inverse of :func:`window_partition` for an H x W grid and ``shift``."""
     if windows.ndim < 3:
         raise ShapeMismatch(f"window_reverse needs [..., nW, T, D], got {windows.shape}")
-    nW, Tsz, D = windows.shape[-3:]
+    nW, Tsz, _ = windows.shape[-3:]
     if nW * Tsz != H * W:
         raise ShapeMismatch(f"{nW} windows of {Tsz} tokens cannot tile {H}x{W}")
     window = math.isqrt(Tsz)
     if window * window != Tsz or H % window or W % window:
         raise ShapeMismatch(f"window tokens {Tsz} do not form a square tile of {H}x{W}")
-    lead = windows.shape[:-3]
-    n = len(lead)
-    x = T.reshape(windows, lead + (H // window, W // window, window, window, D))
-    x = T.transpose(x, tuple(range(n)) + (n, n + 2, n + 1, n + 3, n + 4))
-    return T.reshape(x, lead + (H, W, D))
+
+    def backward(out):
+        T._accum(windows, _partition(out.grad, window, shift))
+
+    return T._make(_reverse(windows.data, H, W, shift), (windows,), backward)
 
 
 @functools.lru_cache(maxsize=None)
@@ -310,11 +351,16 @@ def _shift_mask_array(H, W, window, shift):
     idw = ids.reshape(H // window, window, W // window, window)
     idw = idw.transpose(0, 2, 1, 3).reshape(-1, window * window)
     same = idw[:, :, None] == idw[:, None, :]
-    return np.where(same, 0.0, MASK_NEG)
+    mask = np.where(same, 0.0, MASK_NEG)
+    mask.setflags(write=False)  # shared by every shifted block through the cache
+    return mask
 
 
 def build_shift_mask(H, W, window, shift):
-    """Attention mask [nW, T, T] hiding cross-band pairs after a cyclic shift."""
+    """Attention mask [nW, T, T] hiding cross-band pairs after a cyclic shift.
+
+    A shifted mask is the cached, read-only array itself, not a copy.
+    """
     if H % window or W % window:
         raise IndivisibleInput(f"grid {H}x{W} not divisible by window {window}")
     if shift not in (0, window // 2):
@@ -323,7 +369,7 @@ def build_shift_mask(H, W, window, shift):
     Tsz = window * window
     if shift == 0:
         return Tensor(np.zeros((nW, Tsz, Tsz)))
-    return Tensor(_shift_mask_array(H, W, window, shift).copy())
+    return Tensor(_shift_mask_array(H, W, window, shift))
 
 
 @functools.lru_cache(maxsize=None)
@@ -345,54 +391,94 @@ def relative_position_index(window):
 # attention and blocks
 
 
+def _attention_core(qkv, heads, bias_table=None, index=None, mask=None):
+    """Scaled dot-product attention per window and head, as one tape node.
+
+    qkv: [..., T, 3D] projections; returns the heads' outputs merged back to
+    [..., T, D].  ``bias_table`` [(2w-1)^2, heads] is gathered through
+    ``index`` [T, T]; ``mask`` ([nW, T, T] ndarray) is a constant.  Forward
+    and backward run the numpy calls of the composed ops this node replaces
+    (slice, reshape, transpose, mul, matmul, take, add, softmax), in their
+    order and on their memory layouts, so values and gradients are
+    bit-identical to them.
+    """
+    lead = qkv.shape[:-2]
+    n = len(lead)
+    Tsz = qkv.shape[-2]
+    D = qkv.shape[-1] // 3
+    hd = D // heads
+    heads_first = tuple(range(n)) + (n + 1, n, n + 2)  # [..., T, h, hd] <-> [..., h, T, hd]
+    q, k, v = (qkv.data[..., i * D:(i + 1) * D].reshape(lead + (Tsz, heads, hd))
+               .transpose(heads_first) for i in range(3))
+    scale = 1.0 / math.sqrt(hd)
+    qs = q * scale
+    scores = np.matmul(qs, np.swapaxes(k, -1, -2))
+    if bias_table is not None:
+        np.add(scores, bias_table.data[index].transpose(2, 0, 1), out=scores)
+    if mask is not None:
+        try:
+            np.add(scores, mask.reshape((mask.shape[0], 1, Tsz, Tsz)), out=scores)
+        except ValueError as e:
+            raise ShapeMismatch(f"mask {mask.shape} does not fit windows {lead}") from e
+    # softmax over keys
+    np.subtract(scores, scores.max(axis=-1, keepdims=True), out=scores)
+    np.exp(scores, out=scores)
+    attn = np.divide(scores, scores.sum(axis=-1, keepdims=True), out=scores)
+    merged = np.matmul(attn, v).transpose(heads_first).reshape(lead + (Tsz, D))
+
+    def backward(out):
+        go = np.ascontiguousarray(out.grad.reshape(lead + (Tsz, heads, hd)).transpose(heads_first))
+        ds = np.matmul(go, np.swapaxes(v, -1, -2))
+        np.subtract(ds, (ds * attn).sum(axis=-1, keepdims=True), out=ds)
+        np.multiply(attn, ds, out=ds)  # d scores
+        if bias_table is not None and bias_table.requires_grad:
+            gb = T._unbroadcast(ds, (heads, Tsz, Tsz))
+            g_table = np.zeros_like(bias_table.data)
+            np.add.at(g_table, index, np.ascontiguousarray(gb.transpose(1, 2, 0)))
+            T._accum(bias_table, g_table)
+        if qkv.requires_grad:
+            dq = np.matmul(ds, k)
+            dq *= scale
+            dkt = np.matmul(np.swapaxes(qs, -1, -2), ds)
+            dv = np.matmul(np.swapaxes(attn, -1, -2), go)
+            dqkv = np.empty(qkv.shape)
+            parts = dqkv.reshape(lead + (Tsz, 3, heads, hd))
+            parts[..., 0, :, :] = np.swapaxes(dq, -3, -2)
+            parts[..., 1, :, :] = np.moveaxis(dkt, -1, -3)
+            parts[..., 2, :, :] = np.swapaxes(dv, -3, -2)
+            T._accum(qkv, dqkv)
+
+    inputs = (qkv,) if bias_table is None else (qkv, bias_table)
+    return T._make(merged, inputs, backward)
+
+
 def window_msa(x, params, mask=None, num_heads=None):
     """Multi-head self-attention within each window.
 
     x: [..., nW, T, D].  Scores are QK^T / sqrt(D / heads), plus the
     relative-position bias (when the params carry a table) and the
-    additive mask (when given), softmaxed over keys.
+    additive mask (a constant [nW, T, T] tensor, when given), softmaxed over
+    keys.  Three tape nodes: the qkv projection, the attention core and the
+    output projection.
     """
     heads = num_heads if num_heads is not None else params.num_heads
     D = x.shape[-1]
     Tsz = x.shape[-2]
     if D % heads:
         raise ShapeMismatch(f"dim {D} not divisible by {heads} heads")
-    hd = D // heads
-    lead = x.shape[:-2]
-    n = len(lead)
-
-    qkv = T.linear(x, params.qkv_w, params.qkv_b)  # [..., T, 3D]
-    parts = []
-    for i in range(3):
-        part = T.slice_axis(qkv, -1, i * D, (i + 1) * D)
-        part = T.reshape(part, lead + (Tsz, heads, hd))
-        # [..., T, h, hd] -> [..., h, T, hd]
-        part = T.transpose(part, tuple(range(n)) + (n + 1, n, n + 2))
-        parts.append(part)
-    q, k, v = parts
-
-    q = q * (1.0 / math.sqrt(hd))
-    scores = T.matmul(q, T.transpose(k, tuple(range(n)) + (n, n + 2, n + 1)))
-
+    index = None
     if params.bias_table is not None:
         if params.bias_table.shape != ((2 * params.window - 1) ** 2, heads):
             raise ShapeMismatch(f"bias table {params.bias_table.shape} for window {params.window}")
         if Tsz != params.window**2:
             raise ShapeMismatch(f"{Tsz} tokens per window, expected {params.window**2}")
-        idx = relative_position_index(params.window)
-        bias = T.take(params.bias_table, idx)          # [T, T, h]
-        bias = T.transpose(bias, (2, 0, 1))            # [h, T, T]
-        scores = scores + bias
+        index = relative_position_index(params.window)
+    if mask is not None and mask.shape[-2:] != (Tsz, Tsz):
+        raise ShapeMismatch(f"mask {mask.shape} does not fit {Tsz} tokens")
 
-    if mask is not None:
-        if mask.shape[-2:] != (Tsz, Tsz):
-            raise ShapeMismatch(f"mask {mask.shape} does not fit {Tsz} tokens")
-        scores = scores + T.reshape(mask, (mask.shape[0], 1, Tsz, Tsz))
-
-    attn = T.softmax(scores, axis=-1)
-    out = T.matmul(attn, v)                            # [..., h, T, hd]
-    out = T.transpose(out, tuple(range(n)) + (n + 1, n, n + 2))
-    out = T.reshape(out, lead + (Tsz, D))
+    qkv = T.linear(x, params.qkv_w, params.qkv_b)  # [..., T, 3D]
+    out = _attention_core(qkv, heads, params.bias_table, index,
+                          None if mask is None else mask.data)
     return T.linear(out, params.proj_w, params.proj_b)
 
 
@@ -436,17 +522,11 @@ def swin_block_forward(x, hw, params, shift):
         grid = T.zero_pad(grid, [(0, 0)] * n + [(0, pad_h), (0, pad_w), (0, 0)])
     Hp, Wp = H + pad_h, W + pad_w
 
-    mask = None
-    if shift:
-        grid = T.roll(grid, (-shift, -shift), axes=(n, n + 1))
-        mask = build_shift_mask(Hp, Wp, window, shift)
-
-    windows = window_partition(grid, window)
+    mask = build_shift_mask(Hp, Wp, window, shift) if shift else None
+    windows = window_partition(grid, window, shift)
     attended = window_msa(windows, params, mask=mask)
-    grid = window_reverse(attended, Hp, Wp)
+    grid = window_reverse(attended, Hp, Wp, shift)
 
-    if shift:
-        grid = T.roll(grid, (shift, shift), axes=(n, n + 1))
     if pad_h or pad_w:
         grid = T.slice_axis(grid, n, 0, H)
         grid = T.slice_axis(grid, n + 1, 0, W)

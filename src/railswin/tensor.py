@@ -7,7 +7,8 @@ call, so repeated calls never accumulate across calls.
 
 A ``.grad`` may share memory with an upstream gradient (or with another
 tensor's ``.grad``) and is never modified in place: copy it before writing
-into it.
+into it.  A backward computes gradients only for the inputs whose
+``requires_grad`` is set; a constant operand never gets a ``.grad``.
 
 All data is float64, the headroom finite-difference checking
 (``grad_check``) needs.
@@ -177,8 +178,10 @@ def add(a, b):
         raise ShapeMismatch(f"add: {a.shape} vs {b.shape}") from e
 
     def backward(out):
-        _accum(a, _unbroadcast(out.grad, a.data.shape))
-        _accum(b, _unbroadcast(out.grad, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(out.grad, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(out.grad, b.data.shape))
 
     return _make(data, (a, b), backward)
 
@@ -190,8 +193,10 @@ def mul(a, b):
         raise ShapeMismatch(f"mul: {a.shape} vs {b.shape}") from e
 
     def backward(out):
-        _accum(a, _unbroadcast(out.grad * b.data, a.data.shape))
-        _accum(b, _unbroadcast(out.grad * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(out.grad * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(out.grad * a.data, b.data.shape))
 
     return _make(data, (a, b), backward)
 
@@ -216,8 +221,10 @@ def matmul(a, b):
 
     def backward(out):
         g = out.grad
-        _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
-        _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
 
     return _make(data, (a, b), backward)
 
@@ -240,10 +247,11 @@ def linear(x, w, bias=None):
     def backward(out):
         g = out.grad
         g2 = g.reshape(-1, w.data.shape[0])
-        x2 = x.data.reshape(-1, w.data.shape[1])
-        _accum(x, (g @ w.data).reshape(x.data.shape))
-        _accum(w, g2.T @ x2)
-        if bias is not None:
+        if x.requires_grad:
+            _accum(x, (g @ w.data).reshape(x.data.shape))
+        if w.requires_grad:
+            _accum(w, g2.T @ x.data.reshape(-1, w.data.shape[1]))
+        if bias is not None and bias.requires_grad:
             _accum(bias, g2.sum(axis=0))
 
     inputs = (x, w) if bias is None else (x, w, bias)
@@ -286,7 +294,8 @@ def conv2d(x, kernel, stride=1, pad=0):
 
     def backward(out):
         g = out.grad if not squeeze else out.grad[None]
-        _accum(kernel, np.einsum("bchwij,bohw->ocij", windows, g))
+        if kernel.requires_grad:
+            _accum(kernel, np.einsum("bchwij,bohw->ocij", windows, g))
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             for i in range(k):

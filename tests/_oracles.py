@@ -4,11 +4,16 @@ Everything here is deliberately written as plain loops over scalars so it
 shares no code paths with the package, except where a docstring says so.
 """
 
+import math
+
 import numpy as np
 
+from railswin import swin as S
+from railswin import tensor as T
 from railswin.data.boxes import BBox
 from railswin.data.coco import AnnotatedImage, Dataset
 from railswin.metrics import Detection, MetricsReport, PerCategory, average_precision
+from railswin.swin import relative_position_index
 
 
 def oracle_iou(a, b):
@@ -212,7 +217,7 @@ def oracle_stats(dataset, cid):
 
 
 # ---------------------------------------------------------------------------
-# The two functions below are the package's earlier implementations, kept
+# The functions below are the package's earlier implementations, kept
 # verbatim so the rewritten hot path can be held to them with ``==``.
 
 
@@ -251,3 +256,102 @@ def oracle_gelu(xd):
     y = 0.5 * xd * (1.0 + t)
     dy = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t**2) * (c * (1.0 + 3.0 * a * xd**2))
     return y, dy
+
+
+# Shifted-window attention composed from single tape ops, as ``swin`` built it
+# before the windowing, attention core and un-windowing became one node each.
+
+
+def oracle_window_partition(tokens, window):
+    """[..., H, W, D] -> [..., num_windows, window^2, D] as reshape/transpose/reshape."""
+    H, W, D = tokens.shape[-3:]
+    lead = tokens.shape[:-3]
+    n = len(lead)
+    x = T.reshape(tokens, lead + (H // window, window, W // window, window, D))
+    x = T.transpose(x, tuple(range(n)) + (n, n + 2, n + 1, n + 3, n + 4))
+    return T.reshape(x, lead + ((H // window) * (W // window), window * window, D))
+
+
+def oracle_window_reverse(windows, H, W):
+    nW, Tsz, D = windows.shape[-3:]
+    window = math.isqrt(Tsz)
+    lead = windows.shape[:-3]
+    n = len(lead)
+    x = T.reshape(windows, lead + (H // window, W // window, window, window, D))
+    x = T.transpose(x, tuple(range(n)) + (n, n + 2, n + 1, n + 3, n + 4))
+    return T.reshape(x, lead + (H, W, D))
+
+
+def oracle_window_msa(x, params, mask=None, num_heads=None):
+    """Window attention as qkv slices, scale, matmuls, bias gather, adds and softmax."""
+    heads = num_heads if num_heads is not None else params.num_heads
+    D = x.shape[-1]
+    Tsz = x.shape[-2]
+    hd = D // heads
+    lead = x.shape[:-2]
+    n = len(lead)
+
+    qkv = T.linear(x, params.qkv_w, params.qkv_b)
+    parts = []
+    for i in range(3):
+        part = T.slice_axis(qkv, -1, i * D, (i + 1) * D)
+        part = T.reshape(part, lead + (Tsz, heads, hd))
+        part = T.transpose(part, tuple(range(n)) + (n + 1, n, n + 2))
+        parts.append(part)
+    q, k, v = parts
+
+    q = q * (1.0 / math.sqrt(hd))
+    scores = T.matmul(q, T.transpose(k, tuple(range(n)) + (n, n + 2, n + 1)))
+    if params.bias_table is not None:
+        bias = T.take(params.bias_table, relative_position_index(params.window))
+        scores = scores + T.transpose(bias, (2, 0, 1))
+    if mask is not None:
+        scores = scores + T.reshape(mask, (mask.shape[0], 1, Tsz, Tsz))
+
+    attn = T.softmax(scores, axis=-1)
+    out = T.matmul(attn, v)
+    out = T.transpose(out, tuple(range(n)) + (n + 1, n, n + 2))
+    out = T.reshape(out, lead + (Tsz, D))
+    return T.linear(out, params.proj_w, params.proj_b)
+
+
+def oracle_swin_block_forward(x, hw, params, shift):
+    """One block with the pad -> roll -> partition and reverse -> roll -> crop chain."""
+    H, W = hw
+    L, D = x.shape[-2:]
+    window = params.window
+    lead = x.shape[:-2]
+    n = len(lead)
+
+    shortcut = x
+    x = T.layer_norm(x, params.norm1_g, params.norm1_b)
+    grid = T.reshape(x, lead + (H, W, D))
+    if params.cbam is not None:
+        grid = S._block_cbam(grid, params.cbam)
+
+    pad_h = (-H) % window
+    pad_w = (-W) % window
+    if pad_h or pad_w:
+        grid = T.zero_pad(grid, [(0, 0)] * n + [(0, pad_h), (0, pad_w), (0, 0)])
+    Hp, Wp = H + pad_h, W + pad_w
+    mask = None
+    if shift:
+        grid = T.roll(grid, (-shift, -shift), axes=(n, n + 1))
+        mask = S.build_shift_mask(Hp, Wp, window, shift)
+
+    windows = oracle_window_partition(grid, window)
+    attended = oracle_window_msa(windows, params, mask=mask)
+    grid = oracle_window_reverse(attended, Hp, Wp)
+
+    if shift:
+        grid = T.roll(grid, (shift, shift), axes=(n, n + 1))
+    if pad_h or pad_w:
+        grid = T.slice_axis(grid, n, 0, H)
+        grid = T.slice_axis(grid, n + 1, 0, W)
+
+    x = T.reshape(grid, lead + (L, D)) + shortcut
+    y = T.layer_norm(x, params.norm2_g, params.norm2_b)
+    y = T.linear(y, params.mlp_w1, params.mlp_b1)
+    y = T.gelu(y)
+    y = T.linear(y, params.mlp_w2, params.mlp_b2)
+    return x + y

@@ -389,6 +389,67 @@ class TestAccumOracle:
         assert len(nonzero) > 50 and any(".cbam." in n for n in nonzero)
 
 
+def _conv_pad1(x, k):
+    return T.conv2d(x, k, pad=1)
+
+
+class TestConstantOperands:
+    """Backwards compute gradients only for inputs that require them."""
+
+    @pytest.mark.parametrize("op, shapes, constant", [
+        (T.add, [(3, 4), (4,)], 1),
+        (T.add, [(4,), (3, 4)], 0),
+        (T.mul, [(3, 4), (3, 1)], 1),
+        (T.mul, [(3, 4), ()], 1),
+        (T.matmul, [(4, 4), (2, 4, 3)], 0),
+        (T.matmul, [(2, 3, 4), (4, 5)], 1),
+        (T.linear, [(2, 3, 4), (5, 4), (5,)], 0),
+        (T.linear, [(2, 3, 4), (5, 4), (5,)], 1),
+        (T.linear, [(2, 3, 4), (5, 4), (5,)], 2),
+        (_conv_pad1, [(2, 3, 5, 5), (4, 3, 3, 3)], 0),
+        (_conv_pad1, [(2, 3, 5, 5), (4, 3, 3, 3)], 1),
+    ])
+    def test_same_gradients_and_none_on_the_constant(self, op, shapes, constant):
+        r = rng(9)
+        data = [r.normal(size=s) for s in shapes]
+        probe = None
+
+        def grads(const_index):
+            nonlocal probe
+            ts = [Tensor(d, requires_grad=i != const_index) for i, d in enumerate(data)]
+            out = op(*ts)
+            if probe is None:
+                probe = r.normal(size=out.shape)
+            backward(T.tsum(out * Tensor(probe)))
+            return [t.grad for t in ts]
+
+        full, part = grads(None), grads(constant)
+        assert part[constant] is None
+        for i, (a, b) in enumerate(zip(part, full)):
+            if i != constant:
+                assert np.array_equal(a, b)
+
+    def test_constant_operand_is_not_reduced(self, monkeypatch):
+        shapes = []
+        unbroadcast = T._unbroadcast
+        monkeypatch.setattr(T, "_unbroadcast",
+                            lambda g, shape: shapes.append(shape) or unbroadcast(g, shape))
+        x = Tensor(rng(10).normal(size=(2, 3, 3)), requires_grad=True)
+        c = Tensor(rng(11).normal(size=(3, 3)))
+        backward(T.tsum(T.matmul(T.mul(T.add(x, c), c), c)))
+        assert shapes == [(2, 3, 3)] * 3
+
+    def test_constant_kernel_is_not_differentiated(self, monkeypatch):
+        x = Tensor(rng(12).normal(size=(1, 2, 4, 4)), requires_grad=True)
+        out = T.conv2d(x, Tensor(rng(13).normal(size=(3, 2, 3, 3))), pad=1)
+        loss = T.tsum(out)
+        calls = []
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(a[0]) or einsum(*a, **k))
+        backward(loss)
+        assert calls == ["bohw,oc->bchw"] * 9
+
+
 class TestGradCheck:
     def test_linear_is_exact(self):
         x = Tensor(rng(0).normal(size=(3,)))
