@@ -4,7 +4,9 @@ The channel module squeezes spatial extent with parallel avg/max pooling,
 pushes both descriptors through one shared two-layer MLP (ReLU hidden),
 sums, and gates with a sigmoid.  The spatial module stacks channel-wise
 avg/max maps and convolves them with a single 7x7 filter before the
-sigmoid.  ``refine`` multiplies the feature map by the resulting gates.
+sigmoid.  ``refine`` multiplies the feature map by one gate, and the
+gate's shape says which: [..., C, 1, 1] gates channels and [..., 1, H, W]
+gates pixels.  Each ``refine`` call is one attention application.
 
 All ops accept an optional leading batch axis in front of [C, H, W].
 """
@@ -19,18 +21,6 @@ from .tensor import Tensor
 
 SPATIAL_KERNEL_SIZE = 7
 SPATIAL_PAD = 3
-
-# forward-pass counter, incremented once per refine() call
-_refine_calls = 0
-
-
-def reset_refine_count():
-    global _refine_calls
-    _refine_calls = 0
-
-
-def get_refine_count():
-    return _refine_calls
 
 
 def effective_reduction(channels, ratio):
@@ -88,14 +78,6 @@ class SpatialAttentionParams:
         return cls(kernel=k)
 
 
-@dataclass
-class AttentionMaps:
-    """Per-channel gate m_c [C, 1, 1] and/or per-pixel gate m_s [1, H, W]."""
-
-    m_c: Tensor | None = None
-    m_s: Tensor | None = None
-
-
 def channel_attention_map(f, params):
     """Per-channel gate in (0, 1): sigmoid(MLP(avgpool) + MLP(maxpool))."""
     if f.ndim < 3:
@@ -120,44 +102,26 @@ def spatial_attention_map(f, params):
     return T.sigmoid(T.conv2d(stacked, params.kernel, stride=1, pad=SPATIAL_PAD))
 
 
-def refine(f, maps, mode="both"):
-    """Gate features with attention maps; output shape equals input shape.
+def refine(f, m):
+    """Gate features with one attention map: ``f * m``, shaped like ``f``.
 
-    mode: 'channel_only' -> f * m_c; 'spatial_only' -> f * m_s;
-    'both' -> (f * m_c) * m_s.  Counts one attention application on the
-    module-level counter regardless of mode.
+    ``m`` is a channel gate [..., C, 1, 1] or a spatial gate [..., 1, H, W]
+    for features [..., C, H, W]; any other shape is a ShapeMismatch.
     """
-    global _refine_calls
-    if mode not in ("channel_only", "spatial_only", "both"):
-        raise InvalidParam(f"refine mode {mode!r}")
-    out = f
-    if mode in ("channel_only", "both"):
-        if maps.m_c is None:
-            raise ShapeMismatch("refine: mode needs m_c but it is absent")
-        if maps.m_c.shape[-3] != f.shape[-3] or maps.m_c.shape[-2:] != (1, 1):
-            raise ShapeMismatch(f"refine: m_c {maps.m_c.shape} does not gate {f.shape}")
-        out = out * maps.m_c
-    if mode in ("spatial_only", "both"):
-        if maps.m_s is None:
-            raise ShapeMismatch("refine: mode needs m_s but it is absent")
-        if maps.m_s.shape[-2:] != f.shape[-2:] or maps.m_s.shape[-3] != 1:
-            raise ShapeMismatch(f"refine: m_s {maps.m_s.shape} does not gate {f.shape}")
-        out = out * maps.m_s
-    _refine_calls += 1
-    return out
+    if f.ndim < 3 or m.shape[-3:] not in ((f.shape[-3], 1, 1), (1,) + f.shape[-2:]):
+        raise ShapeMismatch(f"refine: gate {m.shape} does not gate {f.shape}")
+    return f * m
 
 
 def cbam_apply(f, cam_params, sam_params):
     """Full sequential attention pass: channel gate, then spatial gate.
 
     The spatial map is computed from the channel-refined features, which
-    the spatial gate then multiplies in a single refine() call (one counted
+    the spatial gate then multiplies in a single refine() call (one
     attention application): the output is (f * m_c) * m_s.
     """
-    m_c = channel_attention_map(f, cam_params)
-    refined_c = f * m_c
-    m_s = spatial_attention_map(refined_c, sam_params)
-    return refine(refined_c, AttentionMaps(m_s=m_s), mode="spatial_only")
+    refined_c = f * channel_attention_map(f, cam_params)
+    return refine(refined_c, spatial_attention_map(refined_c, sam_params))
 
 
 @dataclass

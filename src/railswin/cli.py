@@ -20,7 +20,7 @@ from . import tensor as T
 from .atomic import atomic_open
 from .cbam import ChannelAttentionParams, channel_attention_map
 from .data.coco import load_coco, save_dataset
-from .data.enhance import enhance
+from .data.enhance import METHODS, enhance
 from .data.planner import plan_and_execute_augmentation, split_train_val
 from .data.stats import category_stats, stats_to_csv
 from .errors import InvalidParam, ParseError, RailswinError
@@ -53,6 +53,16 @@ def cmd_stats(args):
         with atomic_open(os.path.join(out, "stats.csv")) as fh:
             fh.write(csv_text)
     return 0
+
+
+def _seed(text):
+    """A seed flag's value: a non-negative integer, else an InvalidParam."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise InvalidParam(f"seed must be a non-negative integer, got {text!r}")
 
 
 def _load_targets(path, categories):
@@ -100,6 +110,7 @@ def _load_targets(path, categories):
 
 
 def cmd_preprocess(args):
+    seed = _seed(args.seed)
     data = load_coco(args.annotations)
     if args.enhance:
         for im in data.images:
@@ -107,13 +118,13 @@ def cmd_preprocess(args):
                 enhanced = enhance(im.pixels, args.enhance)
                 im.pixels = enhanced
     fraction, train_targets, val_targets = _load_targets(args.augment_plan, data.categories)
-    train_ds, val_ds = split_train_val(data, fraction, args.seed)
+    train_ds, val_ds = split_train_val(data, fraction, seed)
     out = _ensure_out(args)
     plans = {}
     # synthesized ids follow every source id and never repeat across splits
     next_id = max((im.id for im in data.images), default=0) + 1
     for name, ds, targets in (("train", train_ds, train_targets), ("val", val_ds, val_targets)):
-        plan, augmented = plan_and_execute_augmentation(ds, targets, args.seed, split=name,
+        plan, augmented = plan_and_execute_augmentation(ds, targets, seed, split=name,
                                                         first_id=next_id)
         next_id += len(plan.records)
         plans[name] = plan
@@ -169,7 +180,7 @@ def cmd_eval(args):
 
 
 def cmd_gradcheck(args):
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_seed(args.seed))
     checks = []
 
     x = Tensor(rng.normal(size=(3, 4)))
@@ -201,8 +212,8 @@ def cmd_gradcheck(args):
 
 
 def cmd_ablate(args):
+    seeds = [_seed(s) for s in args.seeds.split(",") if s]
     cfg = load_train_config(args.config)
-    seeds = [int(s) for s in args.seeds.split(",") if s]
     variants = [CbamPlacement.NONE, CbamPlacement.MODEL,
                 CbamPlacement.STAGE, CbamPlacement.BLOCK]
     result = run_ablation(cfg, variants=variants, seeds=seeds)
@@ -236,10 +247,10 @@ def build_parser():
 
     s = sub.add_parser("preprocess", help="enhance, split, and balance a dataset")
     s.add_argument("annotations")
-    s.add_argument("--enhance", choices=["he", "ahe", "cet", "msrcp"])
+    s.add_argument("--enhance", choices=list(METHODS))
     s.add_argument("--augment-plan", required=True,
                    help="JSON: {fraction, train: {category: count}, val: {...}}")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", default="0")
     s.add_argument("--out")
     s.set_defaults(fn=cmd_preprocess)
 
@@ -257,7 +268,7 @@ def build_parser():
     s.set_defaults(fn=cmd_eval)
 
     s = sub.add_parser("gradcheck", help="finite-difference check of the core ops")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", default="0")
     s.set_defaults(fn=cmd_gradcheck)
 
     s = sub.add_parser("ablate", help="train/evaluate all four placement variants")

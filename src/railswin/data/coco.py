@@ -133,13 +133,13 @@ def dataset_to_coco(dataset):
     return doc
 
 
-def save_dataset(dataset, out_dir, write_images=True):
+def save_dataset(dataset, out_dir):
     """Write annotations.json plus one PGM/PPM per image with pixel data."""
     os.makedirs(out_dir, exist_ok=True)
     for im in dataset.images:
         if im.file_name is None:
             im.file_name = f"img_{im.id:06d}.pgm" if im.channels == 1 else f"img_{im.id:06d}.ppm"
-        if write_images and im.pixels is not None:
+        if im.pixels is not None:
             write_pnm(os.path.join(out_dir, im.file_name), im.pixels)
     path = os.path.join(out_dir, "annotations.json")
     with open(path, "w") as fh:

@@ -15,8 +15,6 @@ from scipy.ndimage import gaussian_filter
 
 from ..errors import InvalidParam
 
-METHODS = ("he", "ahe", "cet", "msrcp")
-
 
 def _check_uint8(pixels):
     pixels = np.asarray(pixels)
@@ -135,16 +133,17 @@ def msrcp(pixels, scales=(15.0, 80.0, 250.0)):
     return np.clip(np.rint(out), 0, 255).astype(np.uint8)
 
 
-def enhance(img, method, params=None):
+METHODS = {"he": hist_equalize, "ahe": adaptive_equalize, "cet": contrast_stretch,
+           "msrcp": msrcp}
+
+
+def enhance(img, method):
     """Dispatch by method name; accepts a raw array or an annotated image."""
-    params = dict(params or {})
-    method = str(method).lower()
-    if method not in METHODS:
-        raise InvalidParam(f"unknown enhancement {method!r}; expected one of {METHODS}")
-    fn = {"he": hist_equalize, "ahe": adaptive_equalize,
-          "cet": contrast_stretch, "msrcp": msrcp}[method]
+    fn = METHODS.get(str(method).lower())
+    if fn is None:
+        raise InvalidParam(f"unknown enhancement {method!r}; expected one of {tuple(METHODS)}")
     if isinstance(img, np.ndarray):
-        return fn(img, **params)
+        return fn(img)
     if img.pixels is None:
         raise InvalidParam(f"image {img.id} has no pixel data to enhance")
-    return replace(img, pixels=fn(img.pixels, **params))
+    return replace(img, pixels=fn(img.pixels))

@@ -40,7 +40,6 @@ import numpy as np
 
 from . import tensor as T
 from .cbam import (
-    AttentionMaps,
     CbamParams,
     ChannelAttentionParams,
     SpatialAttentionParams,
@@ -104,6 +103,8 @@ class SwinConfig:
             raise InvalidParam("patch_size must be >= 1")
         if self.cbam_reduction < 1:
             raise InvalidParam("cbam_reduction must be >= 1")
+        if self.seed < 0:
+            raise InvalidParam("swin seed must be >= 0")
         if len(self.input_size) != 2:
             raise InvalidParam("input_size must be (H, W)")
         # the stem divides by patch_size and three mergings each halve
@@ -255,10 +256,6 @@ def init_backbone_params(cfg, in_channels=1, rng=None):
         stages.append(StageParams(merge=merge, cbam=stage_cbam, blocks=blocks))
     return BackboneParams(embed_w=embed_w, embed_b=embed_b,
                           model_cbam=model_cbam, stages=stages)
-
-
-def count_parameters(named_params):
-    return sum(t.size for _, t in named_params)
 
 
 # ---------------------------------------------------------------------------
@@ -482,15 +479,21 @@ def window_msa(x, params, mask=None, num_heads=None):
     return T.linear(out, params.proj_w, params.proj_b)
 
 
-def _block_cbam(x_grid, params):
-    """Gate normalized tokens (as a [D, H, W] map) inside the residual branch."""
-    chw = _grid_to_chw(x_grid)
-    if isinstance(params, ChannelAttentionParams):
-        m = channel_attention_map(chw, params)
-        chw = refine(chw, AttentionMaps(m_c=m), mode="channel_only")
+def _gate(grid, params):
+    """Gate a [..., H, W, D] grid, seen as a [..., D, H, W] map, with ``params``.
+
+    ``None`` returns the grid unchanged; ``CbamParams`` run the channel then
+    the spatial gate; channel or spatial parameters alone run that one gate.
+    """
+    if params is None:
+        return grid
+    chw = _grid_to_chw(grid)
+    if isinstance(params, CbamParams):
+        chw = cbam_apply(chw, params.cam, params.sam)
+    elif isinstance(params, ChannelAttentionParams):
+        chw = refine(chw, channel_attention_map(chw, params))
     else:
-        m = spatial_attention_map(chw, params)
-        chw = refine(chw, AttentionMaps(m_s=m), mode="spatial_only")
+        chw = refine(chw, spatial_attention_map(chw, params))
     return _chw_to_grid(chw)
 
 
@@ -511,10 +514,7 @@ def swin_block_forward(x, hw, params, shift):
 
     shortcut = x
     x = T.layer_norm(x, params.norm1_g, params.norm1_b)
-    grid = T.reshape(x, lead + (H, W, D))
-
-    if params.cbam is not None:
-        grid = _block_cbam(grid, params.cbam)
+    grid = _gate(T.reshape(x, lead + (H, W, D)), params.cbam)
 
     pad_h = (-H) % window
     pad_w = (-W) % window
@@ -566,13 +566,7 @@ def patch_partition_embed(image, cfg, params, stage_cbam=None):
 
     x = T.reshape(image, lead + (C_img, Hp, p, Wp, p))
     x = T.transpose(x, tuple(range(n)) + (n + 1, n + 3, n, n + 2, n + 4))
-    x = T.reshape(x, lead + (Hp, Wp, C_img * p * p))
-
-    if stage_cbam is not None:
-        chw = _grid_to_chw(x)
-        chw = cbam_apply(chw, stage_cbam.cam, stage_cbam.sam)
-        x = _chw_to_grid(chw)
-
+    x = _gate(T.reshape(x, lead + (Hp, Wp, C_img * p * p)), stage_cbam)
     x = T.reshape(x, lead + (Hp * Wp, C_img * p * p))
     return T.linear(x, params.embed_w, params.embed_b)
 
@@ -593,11 +587,7 @@ def patch_merging(x, params, stage_cbam=None):
     n = len(lead)
     x = T.reshape(x, lead + (H // 2, 2, W // 2, 2, D))
     x = T.transpose(x, tuple(range(n)) + (n, n + 2, n + 1, n + 3, n + 4))
-    x = T.reshape(x, lead + (H // 2, W // 2, 4 * D))
-    if stage_cbam is not None:
-        chw = _grid_to_chw(x)
-        chw = cbam_apply(chw, stage_cbam.cam, stage_cbam.sam)
-        x = _chw_to_grid(chw)
+    x = _gate(T.reshape(x, lead + (H // 2, W // 2, 4 * D)), stage_cbam)
     x = T.layer_norm(x, params.norm_g, params.norm_b)
     return T.linear(x, params.w)
 
@@ -639,18 +629,6 @@ def count_cbam_invocations(cfg):
     if cfg.placement is CbamPlacement.STAGE:
         return 4
     return sum(cfg.depths)
-
-
-def trace_shapes(cfg):
-    """Expected (dim, H, W) of each stage output, by stem/merging arithmetic."""
-    H, W = cfg.input_size
-    H, W = H // cfg.patch_size, W // cfg.patch_size
-    out = []
-    for s in range(4):
-        if s > 0:
-            H, W = H // 2, W // 2
-        out.append((cfg.stage_dim(s), H, W))
-    return out
 
 
 class SwinBackbone:

@@ -64,6 +64,8 @@ class SyntheticSpec:
             raise InvalidParam("small_fraction must be in [0, 1]")
         if self.noise_level < 0:
             raise InvalidParam("noise_level must be >= 0")
+        if self.seed < 0:
+            raise InvalidParam("synthetic seed must be >= 0")
 
 
 def _background(rng, H, W, noise_level):

@@ -63,15 +63,6 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self):
-        return self.data
-
-    def detach(self):
-        return Tensor(self.data.copy())
-
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 

@@ -63,6 +63,8 @@ class TrainConfig:
             raise InvalidParam("weight_decay must be >= 0")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise InvalidParam("max_iterations must be >= 1 when set")
+        if self.seed < 0:
+            raise InvalidParam("seed must be >= 0")
 
 
 def load_train_config(path):
@@ -423,13 +425,6 @@ def train(cfg, out_dir=None, resume=None, data=None):
         with atomic_open(cfg.timing_log_path) as fh:
             fh.write(timing.to_csv())
     return result
-
-
-def moving_average(values, window):
-    """Mean of the last ``window`` entries ending at each index (1-based tail)."""
-    if len(values) < window:
-        raise InvalidParam(f"need at least {window} values")
-    return float(np.mean(values[-window:]))
 
 
 # ---------------------------------------------------------------------------

@@ -325,9 +325,7 @@ def oracle_swin_block_forward(x, hw, params, shift):
 
     shortcut = x
     x = T.layer_norm(x, params.norm1_g, params.norm1_b)
-    grid = T.reshape(x, lead + (H, W, D))
-    if params.cbam is not None:
-        grid = S._block_cbam(grid, params.cbam)
+    grid = S._gate(T.reshape(x, lead + (H, W, D)), params.cbam)
 
     pad_h = (-H) % window
     pad_w = (-W) % window

@@ -10,10 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from railswin import cbam
 from railswin import tensor as T
 from railswin.cbam import (
-    AttentionMaps,
     ChannelAttentionParams,
     SpatialAttentionParams,
     channel_attention_map,
@@ -103,9 +101,9 @@ def test_criterion_1_gradient_suite():
 
     def cbam_block(t):
         m_c = channel_attention_map(t, cam)
-        refined = refine(t, AttentionMaps(m_c=m_c), "channel_only")
+        refined = refine(t, m_c)
         m_s = spatial_attention_map(refined, sam)
-        return T.tsum(refine(refined, AttentionMaps(m_s=m_s), "spatial_only"))
+        return T.tsum(refine(refined, m_s))
 
     worst["cbam_block"] = grad_check(cbam_block, feat, eps=eps)
 
@@ -233,8 +231,8 @@ def test_criterion_4_windowing_and_shape_trace():
     report(4, f"windowing roundtrips bit-exact; 224 input trace {shapes}")
 
 
-def test_criterion_5_invocation_counts():
-    """Counts {0, 1, 4, 12} for depths [2,2,6,2], against the runtime counter."""
+def test_criterion_5_invocation_counts(refine_calls):
+    """Counts {0, 1, 4, 12} for depths [2,2,6,2], against a runtime count of refine calls."""
     expected = {CbamPlacement.NONE: 0, CbamPlacement.MODEL: 1,
                 CbamPlacement.STAGE: 4, CbamPlacement.BLOCK: 12}
     rng = np.random.default_rng(5)
@@ -247,10 +245,10 @@ def test_criterion_5_invocation_counts():
                          cbam_reduction=4, patch_size=4, input_size=(32, 32), seed=0)
         assert count_cbam_invocations(cfg) == want
         model = SwinBackbone(cfg, in_channels=1)
-        cbam.reset_refine_count()
+        refine_calls.clear()
         with no_grad():
             model.forward(img)
-        counts[placement.value] = cbam.get_refine_count()
+        counts[placement.value] = len(refine_calls)
         assert counts[placement.value] == want
     report(5, f"attention applications per pass {counts}")
 

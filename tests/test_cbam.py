@@ -6,7 +6,6 @@ import pytest
 from railswin import cbam
 from railswin import tensor as T
 from railswin.cbam import (
-    AttentionMaps,
     ChannelAttentionParams,
     SpatialAttentionParams,
     cbam_apply,
@@ -124,7 +123,7 @@ class TestRefine:
     def test_half_maps_halve_features(self):
         f = Tensor(rng(0).normal(size=(4, 3, 3)))
         m = channel_attention_map(f, zero_cam(4, 4))
-        out = refine(f, AttentionMaps(m_c=m), mode="channel_only")
+        out = refine(f, m)
         assert np.allclose(out.data, f.data / 2.0, atol=1e-15)
 
     def test_saturated_maps_approach_identity(self):
@@ -134,15 +133,15 @@ class TestRefine:
         w1 = np.full((4, 2), big)
         p = ChannelAttentionParams(w0=Tensor(w0), w1=Tensor(w1), reduction=2)
         m = channel_attention_map(f, p)
-        out = refine(f, AttentionMaps(m_c=m), mode="channel_only")
+        out = refine(f, m)
         assert np.max(np.abs(out.data - f.data)) < 1e-3
 
-    def test_both_mode_matches_scalar_loop(self):
+    def test_both_gates_match_scalar_loop(self):
         r = rng(2)
         f = r.normal(size=(3, 4, 4))
         m_c = r.uniform(0.1, 0.9, size=(3, 1, 1))
         m_s = r.uniform(0.1, 0.9, size=(1, 4, 4))
-        out = refine(Tensor(f), AttentionMaps(m_c=Tensor(m_c), m_s=Tensor(m_s)), mode="both")
+        out = refine(refine(Tensor(f), Tensor(m_c)), Tensor(m_s))
         expected = np.empty_like(f)
         for c in range(3):
             for i in range(4):
@@ -153,18 +152,30 @@ class TestRefine:
     def test_output_shape_equals_input(self):
         f = Tensor(rng(3).normal(size=(2, 5, 7)))
         m = spatial_attention_map(f, SpatialAttentionParams.init(rng(4)))
-        assert refine(f, AttentionMaps(m_s=m), "spatial_only").shape == (2, 5, 7)
+        assert refine(f, m).shape == (2, 5, 7)
 
-    def test_counter_counts_refine_calls(self):
-        cbam.reset_refine_count()
+    def test_gate_kind_comes_from_its_shape(self):
+        f = Tensor(rng(8).normal(size=(3, 4, 5)))
+        for bad in [(3, 4, 1),  # neither [C, 1, 1] nor [1, H, W]
+                    (2, 1, 1), (4, 1, 1),  # channel gate, wrong C
+                    (1, 4, 4), (1, 5, 5), (1, 5, 4)]:  # spatial gate, wrong H x W
+            with pytest.raises(ShapeMismatch):
+                refine(f, Tensor(np.full(bad, 0.5)))
+        fb = rng(9).normal(size=(2, 3, 4, 5))
+        m_c = rng(10).uniform(size=(2, 3, 1, 1))
+        m_s = rng(11).uniform(size=(2, 1, 4, 5))
+        assert np.array_equal(refine(Tensor(fb), Tensor(m_c)).data, fb * m_c)
+        assert np.array_equal(refine(Tensor(fb), Tensor(m_s)).data, fb * m_s)
+
+    def test_counter_counts_refine_calls(self, refine_calls):
         f = Tensor(rng(5).normal(size=(4, 3, 3)))
         cam = ChannelAttentionParams.init(4, 2, rng(6))
         sam = SpatialAttentionParams.init(rng(7))
         cbam_apply(f, cam, sam)
-        assert cbam.get_refine_count() == 1
+        assert len(refine_calls) == 1
         m = channel_attention_map(f, cam)
-        refine(f, AttentionMaps(m_c=m), "channel_only")
-        assert cbam.get_refine_count() == 2
+        cbam.refine(f, m)  # the fixture wraps the module attribute, not this file's name
+        assert len(refine_calls) == 2
 
 
 class TestGradients:
@@ -174,7 +185,7 @@ class TestGradients:
 
         def fn(t):
             m = channel_attention_map(t, p)
-            return T.tsum(refine(t, AttentionMaps(m_c=m), "channel_only"))
+            return T.tsum(refine(t, m))
 
         assert grad_check(fn, f, eps=1e-5) < 1e-4
 
@@ -184,7 +195,7 @@ class TestGradients:
 
         def fn(t):
             m = spatial_attention_map(t, p)
-            return T.tsum(refine(t, AttentionMaps(m_s=m), "spatial_only"))
+            return T.tsum(refine(t, m))
 
         assert grad_check(fn, f, eps=1e-5) < 1e-4
 

@@ -282,9 +282,12 @@ def edit(doc, path, value):
     (("swin", "seed"), DELETE),
     (("lr",), float("nan")),
     (("betas",), [0.9, float("inf")]),
+    (("seed",), -1),
+    (("swin", "seed"), -1),
+    (("synthetic", "seed"), -1),
 ], ids=["max_iterations-str", "num_images-str", "embed_dim-str", "embed_dim-float",
         "max_iterations-negative", "input_size-30", "no-swin", "no-swin-seed", "lr-nan",
-        "betas-inf"])
+        "betas-inf", "seed-negative", "swin-seed-negative", "synthetic-seed-negative"])
 def test_train_rejects_bad_config(workspace, capsys, path, value):
     tmp, _, cfg_path = workspace
     doc = json.loads(cfg_path.read_text())
@@ -293,7 +296,26 @@ def test_train_rejects_bad_config(workspace, capsys, path, value):
     bad.write_text(json.dumps(doc))
     assert main(["train", "--config", str(bad), "--out", str(tmp / "bad")]) == 1
     assert_one_error_line(capsys.readouterr().err)
-    assert not (tmp / "bad" / "checkpoint.npz").exists()
+    assert not (tmp / "bad").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["preprocess", "{ann}", "--augment-plan", "{targets}", "--seed", "-1", "--out", "{out}"],
+    ["gradcheck", "--seed", "-1"],
+    ["ablate", "--config", "{cfg}", "--seeds", "x", "--out", "{out}"],
+    ["ablate", "--config", "{cfg}", "--seeds", "0,-1", "--out", "{out}"],
+], ids=["preprocess-seed-negative", "gradcheck-seed-negative", "ablate-seeds-x",
+        "ablate-seeds-negative"])
+def test_bad_seed_flag_exits_1_with_one_line(workspace, capsys, command):
+    tmp, ann, cfg_path = workspace
+    targets = tmp / "targets.json"
+    targets.write_text(json.dumps({"train": {}, "val": {}}))
+    argv = [a.format(ann=ann, targets=targets, cfg=cfg_path, out=tmp / "out") for a in command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert_one_error_line(captured.err)
+    assert captured.out == ""
+    assert not (tmp / "out").exists()
 
 
 def test_train_rejects_garbage_resume(workspace, capsys):

@@ -5,9 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from railswin import cbam
 from railswin import tensor as T
-from railswin.cbam import AttentionMaps, ChannelAttentionParams, SpatialAttentionParams, refine
+from railswin.cbam import ChannelAttentionParams, SpatialAttentionParams, refine
 from railswin.config import from_dict, to_dict
 from railswin.errors import IndivisibleInput, InvalidParam, ParseError, ShapeMismatch
 from railswin.swin import (
@@ -17,14 +16,12 @@ from railswin.swin import (
     build_shift_mask,
     backbone_forward,
     count_cbam_invocations,
-    count_parameters,
     init_backbone_params,
     nano_config,
     patch_merging,
     patch_partition_embed,
     swin_block_forward,
     tiny_config,
-    trace_shapes,
     window_msa,
     window_partition,
     window_reverse,
@@ -262,12 +259,8 @@ class TestBlocks:
             t = T.layer_norm(t, p.norm1_g, p.norm1_b)
             grid = T.reshape(t, (4, 4, 8))
             chw = T.transpose(grid, (2, 0, 1))
-            if shift == 0:
-                m = channel_attention_map(chw, p.cbam)
-                chw = refine(chw, AttentionMaps(m_c=m), "channel_only")
-            else:
-                m = spatial_attention_map(chw, p.cbam)
-                chw = refine(chw, AttentionMaps(m_s=m), "spatial_only")
+            gate_map = channel_attention_map if shift == 0 else spatial_attention_map
+            chw = refine(chw, gate_map(chw, p.cbam))
             grid = T.transpose(chw, (1, 2, 0))
             mask = None
             if shift:
@@ -406,7 +399,6 @@ class TestBackbone:
         with no_grad():
             feats = model.forward(Tensor(rng(0).normal(size=(1, 32, 32))))
         assert [f.shape for f in feats] == [(16, 8, 8), (32, 4, 4), (64, 2, 2), (128, 1, 1)]
-        assert trace_shapes(cfg) == [(16, 8, 8), (32, 4, 4), (64, 2, 2), (128, 1, 1)]
 
     def test_shapes_constant_across_placements(self):
         img = Tensor(rng(1).normal(size=(1, 32, 32)))
@@ -434,7 +426,7 @@ class TestBackbone:
 
         assert np.array_equal(run(), run())
 
-    def test_invocation_counts(self):
+    def test_invocation_counts(self, refine_calls):
         expected = {CbamPlacement.NONE: 0, CbamPlacement.MODEL: 1,
                     CbamPlacement.STAGE: 4, CbamPlacement.BLOCK: 8}
         img = Tensor(rng(5).normal(size=(1, 32, 32)))
@@ -442,10 +434,10 @@ class TestBackbone:
             cfg = nano_config(placement=placement)
             assert count_cbam_invocations(cfg) == want
             model = SwinBackbone(cfg, in_channels=1)
-            cbam.reset_refine_count()
+            refine_calls.clear()
             with no_grad():
                 model.forward(img)
-            assert cbam.get_refine_count() == want
+            assert len(refine_calls) == want
 
     def test_block_level_count_for_deep_config(self):
         cfg = tiny_config(placement=CbamPlacement.BLOCK)
@@ -456,7 +448,7 @@ class TestBackbone:
     def test_micro_param_budget_and_end_to_end_grad(self):
         cfg = micro_config(placement=CbamPlacement.BLOCK)
         params = init_backbone_params(cfg, in_channels=1)
-        assert count_parameters(T.named_parameters(params)) <= 5000
+        assert sum(t.size for _, t in T.named_parameters(params)) <= 5000
         img = Tensor(rng(6).normal(size=(1, 32, 32)))
 
         def fwd(t):
@@ -473,16 +465,15 @@ class TestBackbone:
             feats = model.forward(Tensor(rng(7).normal(size=(3, 32, 32))))
         assert feats[0].shape == (16, 8, 8)
 
-    def test_block_gates_at_window_1(self):
+    def test_block_gates_at_window_1(self, refine_calls):
         # window 1 never shifts, so each block's gate kind comes from its parameters
         cfg = SwinConfig(embed_dim=8, depths=(2, 2, 2, 2), num_heads=(1, 1, 1, 1),
                          window_size=1, mlp_ratio=1.0, placement=CbamPlacement.BLOCK,
                          cbam_reduction=2, patch_size=4, input_size=(32, 32), seed=0)
         model = SwinBackbone(cfg, in_channels=1)
-        cbam.reset_refine_count()
         with no_grad():
             feats = model.forward(Tensor(rng(8).normal(size=(1, 32, 32))))
-        assert cbam.get_refine_count() == count_cbam_invocations(cfg) == 8
+        assert len(refine_calls) == count_cbam_invocations(cfg) == 8
         assert feats[3].shape == (64, 1, 1)
 
 

@@ -30,7 +30,6 @@ from railswin.train import (
     load_checkpoint,
     load_train_config,
     localization_loss,
-    moving_average,
     predict_detections,
     run_ablation,
     train,
@@ -244,11 +243,6 @@ class TestLoop:
         assert Path(first.checkpoint_path).read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["checkpoint.npz", "loss_curve.csv", "timing.csv"]
 
-    def test_moving_average(self):
-        assert moving_average([1.0, 2.0, 3.0, 4.0], 2) == 3.5
-        with pytest.raises(InvalidParam):
-            moving_average([1.0], 5)
-
 
 def _train_with_model(cfg, model):
     """Drive train() against a model with a poisoned parameter."""
@@ -263,16 +257,15 @@ def _train_with_model(cfg, model):
 
 
 class TestCbamCounter:
-    def test_training_iteration_matches_static_count(self):
-        from railswin import cbam
+    def test_training_iteration_matches_static_count(self, refine_calls):
         from railswin.swin import count_cbam_invocations
 
         for placement in (CbamPlacement.MODEL, CbamPlacement.STAGE, CbamPlacement.BLOCK):
             cfg = quick_cfg(iters=1, placement=placement)
-            cbam.reset_refine_count()
+            refine_calls.clear()
             train(cfg)
-            # one batched forward pass: the counter equals the static count
-            assert cbam.get_refine_count() == count_cbam_invocations(cfg.swin)
+            # one batched forward pass: the count equals the static count
+            assert len(refine_calls) == count_cbam_invocations(cfg.swin)
 
 
 class TestTiming:
