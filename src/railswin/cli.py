@@ -56,13 +56,15 @@ def cmd_stats(args):
 
 
 def _seed(text):
-    """A seed flag's value: a non-negative integer, else an InvalidParam."""
-    try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise InvalidParam(f"seed must be a non-negative integer, got {text!r}")
+    """A seed flag's value: a non-negative integer, else a usage error."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+
+
+def _seeds(text):
+    """A comma-separated list of seeds."""
+    return [_seed(s) for s in text.split(",") if s]
 
 
 def _load_targets(path, categories):
@@ -110,7 +112,6 @@ def _load_targets(path, categories):
 
 
 def cmd_preprocess(args):
-    seed = _seed(args.seed)
     data = load_coco(args.annotations)
     if args.enhance:
         for im in data.images:
@@ -118,13 +119,13 @@ def cmd_preprocess(args):
                 enhanced = enhance(im.pixels, args.enhance)
                 im.pixels = enhanced
     fraction, train_targets, val_targets = _load_targets(args.augment_plan, data.categories)
-    train_ds, val_ds = split_train_val(data, fraction, seed)
+    train_ds, val_ds = split_train_val(data, fraction, args.seed)
     out = _ensure_out(args)
     plans = {}
     # synthesized ids follow every source id and never repeat across splits
     next_id = max((im.id for im in data.images), default=0) + 1
     for name, ds, targets in (("train", train_ds, train_targets), ("val", val_ds, val_targets)):
-        plan, augmented = plan_and_execute_augmentation(ds, targets, seed, split=name,
+        plan, augmented = plan_and_execute_augmentation(ds, targets, args.seed, split=name,
                                                         first_id=next_id)
         next_id += len(plan.records)
         plans[name] = plan
@@ -180,7 +181,7 @@ def cmd_eval(args):
 
 
 def cmd_gradcheck(args):
-    rng = np.random.default_rng(_seed(args.seed))
+    rng = np.random.default_rng(args.seed)
     checks = []
 
     x = Tensor(rng.normal(size=(3, 4)))
@@ -212,11 +213,10 @@ def cmd_gradcheck(args):
 
 
 def cmd_ablate(args):
-    seeds = [_seed(s) for s in args.seeds.split(",") if s]
     cfg = load_train_config(args.config)
     variants = [CbamPlacement.NONE, CbamPlacement.MODEL,
                 CbamPlacement.STAGE, CbamPlacement.BLOCK]
-    result = run_ablation(cfg, variants=variants, seeds=seeds)
+    result = run_ablation(cfg, variants=variants, seeds=args.seeds)
     out = _ensure_out(args)
     with atomic_open(os.path.join(out, "ablation.csv")) as fh:
         fh.write(result.to_csv())
@@ -235,9 +235,15 @@ def cmd_bench(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as an InvalidParam, like any other validation error."""
+
+    def error(self, message):
+        raise InvalidParam(f"{self.prog}: {message}")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="railswin",
-                                description="Rail-surface defect detection toolkit")
+    p = _Parser(prog="railswin", description="Rail-surface defect detection toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("stats", help="per-category size statistics of a COCO-style file")
@@ -250,7 +256,7 @@ def build_parser():
     s.add_argument("--enhance", choices=list(METHODS))
     s.add_argument("--augment-plan", required=True,
                    help="JSON: {fraction, train: {category: count}, val: {...}}")
-    s.add_argument("--seed", default="0")
+    s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--out")
     s.set_defaults(fn=cmd_preprocess)
 
@@ -268,12 +274,12 @@ def build_parser():
     s.set_defaults(fn=cmd_eval)
 
     s = sub.add_parser("gradcheck", help="finite-difference check of the core ops")
-    s.add_argument("--seed", default="0")
+    s.add_argument("--seed", type=_seed, default=0)
     s.set_defaults(fn=cmd_gradcheck)
 
     s = sub.add_parser("ablate", help="train/evaluate all four placement variants")
     s.add_argument("--config", required=True)
-    s.add_argument("--seeds", default="0")
+    s.add_argument("--seeds", type=_seeds, default=[0])
     s.add_argument("--out")
     s.set_defaults(fn=cmd_ablate)
 
@@ -286,8 +292,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (InvalidParam, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)

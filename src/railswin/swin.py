@@ -10,12 +10,11 @@ attention can be inserted at one of three levels:
   every stage entry.
 * ``block``: a channel gate before each plain-window block's attention
   and a spatial gate before each shifted-window block's, applied to the
-  normalized tokens reshaped to a [D, H, W] map inside the residual
-  branch.
+  normalized grid, seen as a [D, H, W] map, inside the residual branch.
 
-Token layouts: flat tokens are [..., L, D]; grids are [..., H, W, D];
-maps are [..., D, H, W].  A single leading batch axis is supported
-everywhere.
+Layouts: grids are [..., H, W, D], carried from the stem to every stage
+output; maps are [..., D, H, W], the gates' view and the stage features.
+A single leading batch axis is supported everywhere.
 
 A block's attention branch records five tape nodes: ``window_partition``
 (cyclic shift and windowing), the qkv ``linear``, the attention core
@@ -298,22 +297,22 @@ def _reverse(d, H, W, shift):
     return d
 
 
-def window_partition(tokens, window, shift=0):
+def window_partition(grid, window, shift=0):
     """[..., H, W, D] -> [..., num_windows, window^2, D], row-major windows.
 
     With ``shift`` the grid is first rolled by (-shift, -shift), the cyclic
     shift of a shifted-window block.  One tape node.
     """
-    if tokens.ndim < 3:
-        raise ShapeMismatch(f"window_partition needs [..., H, W, D], got {tokens.shape}")
-    H, W, _ = tokens.shape[-3:]
+    if grid.ndim < 3:
+        raise ShapeMismatch(f"window_partition needs [..., H, W, D], got {grid.shape}")
+    H, W, _ = grid.shape[-3:]
     if H % window or W % window:
         raise IndivisibleInput(f"grid {H}x{W} not divisible by window {window}")
 
     def backward(out):
-        T._accum(tokens, _reverse(out.grad, H, W, shift))
+        T._accum(grid, _reverse(out.grad, H, W, shift))
 
-    return T._make(_partition(tokens.data, window, shift), (tokens,), backward)
+    return T._make(_partition(grid.data, window, shift), (grid,), backward)
 
 
 def window_reverse(windows, H, W, shift=0):
@@ -354,7 +353,7 @@ def _shift_mask_array(H, W, window, shift):
 
 
 def build_shift_mask(H, W, window, shift):
-    """Attention mask [nW, T, T] hiding cross-band pairs after a cyclic shift.
+    """Attention mask ndarray [nW, T, T] hiding cross-band pairs after a cyclic shift.
 
     A shifted mask is the cached, read-only array itself, not a copy.
     """
@@ -365,8 +364,8 @@ def build_shift_mask(H, W, window, shift):
     nW = (H // window) * (W // window)
     Tsz = window * window
     if shift == 0:
-        return Tensor(np.zeros((nW, Tsz, Tsz)))
-    return Tensor(_shift_mask_array(H, W, window, shift))
+        return np.zeros((nW, Tsz, Tsz))
+    return _shift_mask_array(H, W, window, shift)
 
 
 @functools.lru_cache(maxsize=None)
@@ -449,16 +448,16 @@ def _attention_core(qkv, heads, bias_table=None, index=None, mask=None):
     return T._make(merged, inputs, backward)
 
 
-def window_msa(x, params, mask=None, num_heads=None):
+def window_msa(x, params, mask=None):
     """Multi-head self-attention within each window.
 
     x: [..., nW, T, D].  Scores are QK^T / sqrt(D / heads), plus the
     relative-position bias (when the params carry a table) and the
-    additive mask (a constant [nW, T, T] tensor, when given), softmaxed over
-    keys.  Three tape nodes: the qkv projection, the attention core and the
-    output projection.
+    additive mask (a constant [nW, T, T] ndarray, when given), softmaxed
+    over keys.  Three tape nodes: the qkv projection, the attention core and
+    the output projection.
     """
-    heads = num_heads if num_heads is not None else params.num_heads
+    heads = params.num_heads
     D = x.shape[-1]
     Tsz = x.shape[-2]
     if D % heads:
@@ -474,8 +473,7 @@ def window_msa(x, params, mask=None, num_heads=None):
         raise ShapeMismatch(f"mask {mask.shape} does not fit {Tsz} tokens")
 
     qkv = T.linear(x, params.qkv_w, params.qkv_b)  # [..., T, 3D]
-    out = _attention_core(qkv, heads, params.bias_table, index,
-                          None if mask is None else mask.data)
+    out = _attention_core(qkv, heads, params.bias_table, index, mask)
     return T.linear(out, params.proj_w, params.proj_b)
 
 
@@ -497,24 +495,22 @@ def _gate(grid, params):
     return _chw_to_grid(chw)
 
 
-def swin_block_forward(x, hw, params, shift):
-    """One block: LN -> [gate] -> (shift) window attention -> +residual -> MLP.
+def swin_block_forward(x, params, shift):
+    """One block on a [..., H, W, D] grid, returning a grid of the same shape.
 
-    The gate runs when the block carries attention parameters.
+    LN -> [gate] -> (shift) window attention -> +residual -> MLP.  The gate
+    runs when the block carries attention parameters.
     """
-    H, W = hw
-    L, D = x.shape[-2:]
-    if L != H * W:
-        raise ShapeMismatch(f"{L} tokens != grid {H}x{W}")
+    if x.ndim < 3:
+        raise ShapeMismatch(f"block needs a [..., H, W, D] grid, got {x.shape}")
+    H, W, D = x.shape[-3:]
     if D != params.dim:
-        raise ShapeMismatch(f"token dim {D} != block dim {params.dim}")
+        raise ShapeMismatch(f"grid dim {D} != block dim {params.dim}")
     window = params.window
-    lead = x.shape[:-2]
-    n = len(lead)
+    n = x.ndim - 3
 
     shortcut = x
-    x = T.layer_norm(x, params.norm1_g, params.norm1_b)
-    grid = _gate(T.reshape(x, lead + (H, W, D)), params.cbam)
+    grid = _gate(T.layer_norm(x, params.norm1_g, params.norm1_b), params.cbam)
 
     pad_h = (-H) % window
     pad_w = (-W) % window
@@ -531,11 +527,11 @@ def swin_block_forward(x, hw, params, shift):
         grid = T.slice_axis(grid, n, 0, H)
         grid = T.slice_axis(grid, n + 1, 0, W)
 
-    x = T.reshape(grid, lead + (L, D)) + shortcut
+    x = grid + shortcut
     y = T.layer_norm(x, params.norm2_g, params.norm2_b)
-    y = T.linear(y, params.mlp_w1, params.mlp_b1)
+    y = T.linear(y, params.mlp_w1, params.mlp_b1, batch_axes=n)
     y = T.gelu(y)
-    y = T.linear(y, params.mlp_w2, params.mlp_b2)
+    y = T.linear(y, params.mlp_w2, params.mlp_b2, batch_axes=n)
     return x + y
 
 
@@ -547,7 +543,7 @@ def patch_partition_embed(image, cfg, params, stage_cbam=None):
     """Split into patch_size^2 patches, flatten channel-first, embed to C.
 
     image: [..., C_img, H, W] with H, W divisible by patch_size (no silent
-    padding at the stem).  Returns flat tokens [..., (H/p)*(W/p), C].
+    padding at the stem).  Returns the embedded grid [..., H/p, W/p, C].
     When ``stage_cbam`` is given the partitioned patch map is gated before
     the linear embedding.
     """
@@ -567,8 +563,7 @@ def patch_partition_embed(image, cfg, params, stage_cbam=None):
     x = T.reshape(image, lead + (C_img, Hp, p, Wp, p))
     x = T.transpose(x, tuple(range(n)) + (n + 1, n + 3, n, n + 2, n + 4))
     x = _gate(T.reshape(x, lead + (Hp, Wp, C_img * p * p)), stage_cbam)
-    x = T.reshape(x, lead + (Hp * Wp, C_img * p * p))
-    return T.linear(x, params.embed_w, params.embed_b)
+    return T.linear(x, params.embed_w, params.embed_b, batch_axes=n)
 
 
 def patch_merging(x, params, stage_cbam=None):
@@ -589,7 +584,7 @@ def patch_merging(x, params, stage_cbam=None):
     x = T.transpose(x, tuple(range(n)) + (n, n + 2, n + 1, n + 3, n + 4))
     x = _gate(T.reshape(x, lead + (H // 2, W // 2, 4 * D)), stage_cbam)
     x = T.layer_norm(x, params.norm_g, params.norm_b)
-    return T.linear(x, params.w)
+    return T.linear(x, params.w, batch_axes=n)
 
 
 def backbone_forward(image, cfg, params):
@@ -597,25 +592,14 @@ def backbone_forward(image, cfg, params):
     if params.model_cbam is not None:
         image = cbam_apply(image, params.model_cbam.cam, params.model_cbam.sam)
 
-    lead = image.shape[:-3]
-    n = len(lead)
-    H = image.shape[-2] // cfg.patch_size
-    W = image.shape[-1] // cfg.patch_size
-
-    tokens = patch_partition_embed(image, cfg, params, stage_cbam=params.stages[0].cbam)
-
+    grid = patch_partition_embed(image, cfg, params, stage_cbam=params.stages[0].cbam)
+    shift = cfg.window_size // 2
     features = []
-    for s in range(4):
-        st = params.stages[s]
+    for s, st in enumerate(params.stages):
         if s > 0:
-            grid = T.reshape(tokens, lead + (H, W, cfg.stage_dim(s - 1)))
             grid = patch_merging(grid, st.merge, stage_cbam=st.cbam)
-            H, W = H // 2, W // 2
-            tokens = T.reshape(grid, lead + (H * W, cfg.stage_dim(s)))
-        shift = cfg.window_size // 2
         for i, bp in enumerate(st.blocks):
-            tokens = swin_block_forward(tokens, (H, W), bp, shift=0 if i % 2 == 0 else shift)
-        grid = T.reshape(tokens, lead + (H, W, cfg.stage_dim(s)))
+            grid = swin_block_forward(grid, bp, shift=0 if i % 2 == 0 else shift)
         features.append(_grid_to_chw(grid))
     return features
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import math
 
 import numpy as np
 
@@ -220,10 +221,13 @@ def matmul(a, b):
     return _make(data, (a, b), backward)
 
 
-def linear(x, w, bias=None):
+def linear(x, w, bias=None, batch_axes=None):
     """Affine map on the trailing axis: y = x @ w.T (+ bias).
 
-    w has shape [D_out, D_in]; bias, when present, [D_out].
+    w has shape [D_out, D_in]; bias, when present, [D_out].  numpy runs one
+    GEMM per index of x's leading axes.  With ``batch_axes`` = k only the
+    first k are looped over and the axes after them fold into each GEMM's
+    rows, so a [B, H, W, D] grid with k = 1 costs B GEMMs, not B * H.
     """
     if w.ndim != 2:
         raise ShapeMismatch(f"linear weight must be 2-D, got {w.shape}")
@@ -231,7 +235,10 @@ def linear(x, w, bias=None):
         raise ShapeMismatch(f"linear: input dim {x.shape[-1]} != weight dim {w.shape[1]}")
     if bias is not None and bias.shape != (w.shape[0],):
         raise ShapeMismatch(f"linear: bias shape {bias.shape} != ({w.shape[0]},)")
-    data = x.data @ w.data.T
+    xd = x.data
+    if batch_axes is not None:
+        xd = xd.reshape(x.shape[:batch_axes] + (math.prod(x.shape[batch_axes:-1]), x.shape[-1]))
+    data = (xd @ w.data.T).reshape(x.shape[:-1] + (w.shape[0],))
     if bias is not None:
         data = data + bias.data
 
@@ -239,9 +246,10 @@ def linear(x, w, bias=None):
         g = out.grad
         g2 = g.reshape(-1, w.data.shape[0])
         if x.requires_grad:
-            _accum(x, (g @ w.data).reshape(x.data.shape))
+            gx = g.reshape(xd.shape[:-1] + (w.shape[0],)) @ w.data
+            _accum(x, gx.reshape(x.data.shape))
         if w.requires_grad:
-            _accum(w, g2.T @ x.data.reshape(-1, w.data.shape[1]))
+            _accum(w, g2.T @ xd.reshape(-1, w.data.shape[1]))
         if bias is not None and bias.requires_grad:
             _accum(bias, g2.sum(axis=0))
 

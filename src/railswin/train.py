@@ -263,8 +263,9 @@ def _class_label(image, cat_index):
 # checkpointing
 
 
-def save_checkpoint(path, cfg, backbone, head, adam_state, named, iteration):
+def save_checkpoint(path, cfg, backbone, head, adam_state, iteration):
     """Write the resume state to ``path``; an interrupted write leaves it as it was."""
+    named = backbone.named_parameters() + head.named_parameters()
     arrays = {f"param.{name}": t.data for name, t in named}
     for (name, _), m, v in zip(named, adam_state.m, adam_state.v):
         arrays[f"adam_m.{name}"] = m
@@ -355,11 +356,9 @@ def train(cfg, out_dir=None, resume=None, data=None):
     else:
         backbone = SwinBackbone(cfg.swin, in_channels=in_channels)
         head = init_head_params(cfg.swin, num_classes, cfg.task)
-        named = backbone.named_parameters() + head.named_parameters()
-        adam_state = AdamState.init([t for _, t in named])
-
-    named = backbone.named_parameters() + head.named_parameters()
-    params = [t for _, t in named]
+    params = [t for _, t in backbone.named_parameters() + head.named_parameters()]
+    if resume is None:
+        adam_state = AdamState.init(params)
 
     if cfg.task == "localization":
         gh = cfg.swin.input_size[0] // (cfg.swin.patch_size * 4)
@@ -418,8 +417,7 @@ def train(cfg, out_dir=None, resume=None, data=None):
         with atomic_open(os.path.join(out_dir, "timing.csv")) as fh:
             fh.write(timing.to_csv())
         ckpt = os.path.join(out_dir, "checkpoint.npz")
-        named = backbone.named_parameters() + head.named_parameters()
-        save_checkpoint(ckpt, cfg, backbone, head, adam_state, named, iteration)
+        save_checkpoint(ckpt, cfg, backbone, head, adam_state, iteration)
         result.checkpoint_path = ckpt
     if cfg.timing_log_path:
         with atomic_open(cfg.timing_log_path) as fh:
@@ -550,9 +548,12 @@ def run_ablation(base_cfg, variants=None, seeds=(0,), val_images=60):
 
 
 def bench(cfg, iters):
-    """Measure per-iteration wall time over ``iters`` training iterations."""
-    if iters < 1:
-        raise InvalidParam("bench needs iters >= 1")
+    """Measure per-iteration wall time over ``iters`` training iterations.
+
+    The first ``WARMUP_ITERS`` are not measured, so ``iters`` must exceed them.
+    """
+    if iters <= WARMUP_ITERS:
+        raise InvalidParam(f"bench needs iters > {WARMUP_ITERS} warmup iterations, got {iters}")
     cfg = replace(cfg, max_iterations=iters,
                   epochs=max(cfg.epochs, iters))  # enough epochs to cover iters
     result = train(cfg)

@@ -282,9 +282,9 @@ def oracle_window_reverse(windows, H, W):
     return T.reshape(x, lead + (H, W, D))
 
 
-def oracle_window_msa(x, params, mask=None, num_heads=None):
+def oracle_window_msa(x, params, mask=None):
     """Window attention as qkv slices, scale, matmuls, bias gather, adds and softmax."""
-    heads = num_heads if num_heads is not None else params.num_heads
+    heads = params.num_heads
     D = x.shape[-1]
     Tsz = x.shape[-2]
     hd = D // heads
@@ -306,7 +306,7 @@ def oracle_window_msa(x, params, mask=None, num_heads=None):
         bias = T.take(params.bias_table, relative_position_index(params.window))
         scores = scores + T.transpose(bias, (2, 0, 1))
     if mask is not None:
-        scores = scores + T.reshape(mask, (mask.shape[0], 1, Tsz, Tsz))
+        scores = scores + T.Tensor(mask.reshape((mask.shape[0], 1, Tsz, Tsz)))
 
     attn = T.softmax(scores, axis=-1)
     out = T.matmul(attn, v)
@@ -315,17 +315,14 @@ def oracle_window_msa(x, params, mask=None, num_heads=None):
     return T.linear(out, params.proj_w, params.proj_b)
 
 
-def oracle_swin_block_forward(x, hw, params, shift):
-    """One block with the pad -> roll -> partition and reverse -> roll -> crop chain."""
-    H, W = hw
-    L, D = x.shape[-2:]
+def oracle_swin_block_forward(x, params, shift):
+    """One block on a grid with the pad -> roll -> partition and reverse -> roll -> crop chain."""
+    H, W = x.shape[-3:-1]
     window = params.window
-    lead = x.shape[:-2]
-    n = len(lead)
+    n = x.ndim - 3
 
     shortcut = x
-    x = T.layer_norm(x, params.norm1_g, params.norm1_b)
-    grid = S._gate(T.reshape(x, lead + (H, W, D)), params.cbam)
+    grid = S._gate(T.layer_norm(x, params.norm1_g, params.norm1_b), params.cbam)
 
     pad_h = (-H) % window
     pad_w = (-W) % window
@@ -347,7 +344,7 @@ def oracle_swin_block_forward(x, hw, params, shift):
         grid = T.slice_axis(grid, n, 0, H)
         grid = T.slice_axis(grid, n + 1, 0, W)
 
-    x = T.reshape(grid, lead + (L, D)) + shortcut
+    x = grid + shortcut
     y = T.layer_norm(x, params.norm2_g, params.norm2_b)
     y = T.linear(y, params.mlp_w1, params.mlp_b1)
     y = T.gelu(y)

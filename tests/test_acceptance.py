@@ -113,15 +113,15 @@ def test_criterion_1_gradient_suite():
     window = 2
     p1 = _init_block(8, 2, window, 2.0, rng, cbam=ChannelAttentionParams.init(8, 4, rng))
     p2 = _init_block(8, 2, window, 2.0, rng, cbam=SpatialAttentionParams.init(rng))
-    tokens = Tensor(rng.normal(size=(16, 8)))
-    pair_probe = Tensor(rng.normal(size=(16, 8)))
+    grid = Tensor(rng.normal(size=(4, 4, 8)))
+    pair_probe = Tensor(rng.normal(size=(4, 4, 8)))
 
     def block_pair(t):
-        t = swin_block_forward(t, (4, 4), p1, shift=0)
-        return swin_block_forward(t, (4, 4), p2, shift=window // 2)
+        t = swin_block_forward(t, p1, shift=0)
+        return swin_block_forward(t, p2, shift=window // 2)
 
     worst["swin_block_pair"] = grad_check(
-        lambda t: T.tsum(block_pair(t) * pair_probe), tokens, eps=eps)
+        lambda t: T.tsum(block_pair(t) * pair_probe), grid, eps=eps)
 
     elapsed = time.perf_counter() - start
     for name, err in worst.items():
@@ -178,7 +178,7 @@ def test_criterion_3_shifted_window_oracle():
     grid = T.reshape(Tensor(x), (H, W, D))
     rolled = T.roll(grid, (-shift, -shift), (0, 1))
     wins = window_partition(rolled, win)
-    att = window_msa(wins, p, mask=build_shift_mask(H, W, win, shift), num_heads=heads)
+    att = window_msa(wins, p, mask=build_shift_mask(H, W, win, shift))
     back = T.roll(window_reverse(att, H, W), (shift, shift), (0, 1))
     ours = T.reshape(back, (H * W, D)).data
 

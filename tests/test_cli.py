@@ -318,6 +318,39 @@ def test_bad_seed_flag_exits_1_with_one_line(workspace, capsys, command):
     assert not (tmp / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--config", "{cfg}", "--iters", "x", "--out", "{out}"],
+    ["bench", "--iters", "6", "--out", "{out}"],
+    [],
+    ["frobnicate", "--out", "{out}"],
+], ids=["malformed-int", "missing-config", "missing-command", "unknown-command"])
+def test_usage_error_exits_1_with_one_line(workspace, capsys, argv):
+    tmp, _, cfg_path = workspace
+    assert main([a.format(cfg=cfg_path, out=tmp / "out") for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert_one_error_line(captured.err)
+    assert captured.out == ""
+    assert not (tmp / "out").exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--help"])
+    assert exc.value.code == 0
+    assert "--iters" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("iters", ["3", "5"])
+def test_bench_rejects_iters_within_warmup(workspace, capsys, iters):
+    tmp, _, cfg_path = workspace
+    assert main(["bench", "--config", str(cfg_path), "--iters", iters,
+                 "--out", str(tmp / "b")]) == 1
+    captured = capsys.readouterr()
+    assert_one_error_line(captured.err)
+    assert captured.out == ""
+    assert not (tmp / "b").exists()
+
+
 def test_train_rejects_garbage_resume(workspace, capsys):
     tmp, _, cfg_path = workspace
     garbage = tmp / "garbage.npz"

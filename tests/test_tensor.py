@@ -113,6 +113,28 @@ class TestLinear:
         with pytest.raises(ShapeMismatch):
             T.linear(Tensor(np.ones((2, 5))), Tensor(np.ones((3, 4))))
 
+    @pytest.mark.parametrize("batch_axes, flat", [(0, (30, 4)), (1, (2, 15, 4))])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_batch_axes_equals_folded_input(self, batch_axes, flat, transposed):
+        """Folding into the rows gives the values and gradients of a pre-folded input."""
+        data = rng(4).normal(size=(2, 4, 3, 5) if transposed else (2, 3, 5, 4))
+        if transposed:
+            data = data.transpose(0, 2, 3, 1)  # a non-contiguous [2, 3, 5, 4] view
+        probe = rng(5).normal(size=(2, 3, 5, 6))
+
+        def run(x_data, **kw):
+            x = Tensor(x_data, requires_grad=True)
+            w = Tensor(rng(6).normal(size=(6, 4)), requires_grad=True)
+            b = Tensor(rng(7).normal(size=(6,)), requires_grad=True)
+            out = T.linear(x, w, b, **kw)
+            T.backward(T.tsum(out * Tensor(probe.reshape(out.shape))))
+            return out.data.reshape(probe.shape), x.grad.reshape(data.shape), w.grad, b.grad
+
+        got = run(data, batch_axes=batch_axes)
+        expected = run(np.ascontiguousarray(data).reshape(flat))
+        for a, e in zip(got, expected):
+            assert np.array_equal(a, e)
+
 
 class TestSoftmax:
     def test_symmetry(self):

@@ -68,16 +68,16 @@ def assert_same_grads(got, expected):
             assert g.shape == e.shape and np.array_equal(g, e), name
 
 
-def run_block(fn, x_data, hw, params, shift):
+def run_block(fn, x_data, params, shift):
     x = Tensor(x_data, requires_grad=True)
-    out = fn(x, hw, params, shift)
+    out = fn(x, params, shift)
     T.backward(weighted_sum([out], 7))
     return out.data, x.grad.copy(), grads_of(T.named_parameters(params))
 
 
-def assert_block_matches_oracle(x_data, hw, params, shift):
-    got = run_block(swin_block_forward, x_data, hw, params, shift)
-    expected = run_block(oracle_swin_block_forward, x_data, hw, params, shift)
+def assert_block_matches_oracle(x_data, params, shift):
+    got = run_block(swin_block_forward, x_data, params, shift)
+    expected = run_block(oracle_swin_block_forward, x_data, params, shift)
     assert np.array_equal(got[0], expected[0])
     assert np.array_equal(got[1], expected[1])
     assert_same_grads(got[2], expected[2])
@@ -112,24 +112,24 @@ class TestBlockBitIdentity:
     def test_unbatched_grid(self, shift):
         p = _init_block(8, 2, 2, 2.0, rng(0))
         perturb(T.named_parameters(p), 1)
-        assert_block_matches_oracle(rng(2).normal(size=(16, 8)), (4, 4), p, shift)
+        assert_block_matches_oracle(rng(2).normal(size=(4, 4, 8)), p, shift)
 
     @pytest.mark.parametrize("shift", [0, 1])
     def test_batched_rectangular_grid(self, shift):
         p = _init_block(8, 2, 2, 2.0, rng(3))
         perturb(T.named_parameters(p), 4)
-        assert_block_matches_oracle(rng(5).normal(size=(3, 24, 8)), (4, 6), p, shift)
+        assert_block_matches_oracle(rng(5).normal(size=(3, 4, 6, 8)), p, shift)
 
     def test_window_1(self):
         p = _init_block(6, 3, 1, 2.0, rng(6))
         perturb(T.named_parameters(p), 7)
-        assert_block_matches_oracle(rng(8).normal(size=(2, 9, 6)), (3, 3), p, 0)
+        assert_block_matches_oracle(rng(8).normal(size=(2, 3, 3, 6)), p, 0)
 
     @pytest.mark.parametrize("shift", [0, 1])
     def test_padded_1x1_grid(self, shift):
         p = _init_block(8, 4, 2, 2.0, rng(9))
         perturb(T.named_parameters(p), 10)
-        assert_block_matches_oracle(rng(11).normal(size=(4, 1, 8)), (1, 1), p, shift)
+        assert_block_matches_oracle(rng(11).normal(size=(4, 1, 1, 8)), p, shift)
 
     def test_shifted_window_3_with_gate(self):
         # shift 1 of window 3 on a 6x6 grid; the spatial gate hands the
@@ -137,18 +137,18 @@ class TestBlockBitIdentity:
         r = rng(12)
         p = _init_block(4, 2, 3, 2.0, r, cbam=SpatialAttentionParams.init(r))
         perturb(T.named_parameters(p), 13)
-        assert_block_matches_oracle(r.normal(size=(2, 36, 4)), (6, 6), p, 1)
+        assert_block_matches_oracle(r.normal(size=(2, 6, 6, 4)), p, 1)
 
     def test_channel_gate(self):
         r = rng(14)
         p = _init_block(8, 2, 2, 2.0, r, cbam=ChannelAttentionParams.init(8, 4, r))
         perturb(T.named_parameters(p), 15)
-        assert_block_matches_oracle(r.normal(size=(2, 16, 8)), (4, 4), p, 0)
+        assert_block_matches_oracle(r.normal(size=(2, 4, 4, 8)), p, 0)
 
 
 class TestNodeBitIdentity:
-    def test_window_msa_num_heads_override_with_mask(self):
-        p = _init_block(8, 1, 2, 2.0, rng(0))
+    def test_window_msa_four_heads_with_mask(self):
+        p = _init_block(8, 4, 2, 2.0, rng(0))
         p.bias_table = None
         perturb(T.named_parameters(p), 1)
         x_data = rng(2).normal(size=(2, 4, 4, 8))
@@ -156,7 +156,7 @@ class TestNodeBitIdentity:
 
         def run(fn):
             x = Tensor(x_data, requires_grad=True)
-            out = fn(x, p, mask=mask, num_heads=4)
+            out = fn(x, p, mask=mask)
             T.backward(weighted_sum([out], 3))
             return out.data, x.grad.copy(), grads_of(T.named_parameters(p))
 
@@ -200,7 +200,7 @@ class TestNodeGradCheck:
                           Tensor(rng(3).normal(size=(4, 4, 2)))) < 1e-8
 
     def _core(self, qkv, table):
-        mask = build_shift_mask(4, 4, 2, 1).data
+        mask = build_shift_mask(4, 4, 2, 1)
         out = S._attention_core(qkv, 2, table, relative_position_index(2), mask)
         return T.tsum(out * Tensor(rng(4).normal(size=out.shape)))
 
@@ -233,7 +233,7 @@ class TestChecksStillRaise:
 
     def test_heads(self):
         with pytest.raises(ShapeMismatch):
-            window_msa(Tensor(np.ones((1, 4, 4))), self._params(heads=3), num_heads=3)
+            window_msa(Tensor(np.ones((1, 4, 4))), self._params(heads=3))
 
     def test_bias_table_shape(self):
         p = self._params()
@@ -248,16 +248,16 @@ class TestChecksStillRaise:
     @pytest.mark.parametrize("mask_shape", [(1, 3, 3), (3, 4, 4), (4, 4)])
     def test_mask_shape(self, mask_shape):
         with pytest.raises(ShapeMismatch):
-            window_msa(Tensor(np.ones((2, 4, 4))), self._params(), mask=Tensor(np.zeros(mask_shape)))
+            window_msa(Tensor(np.ones((2, 4, 4))), self._params(), mask=np.zeros(mask_shape))
 
 
 class TestShiftMaskCache:
     def test_read_only_and_not_copied(self):
         a = build_shift_mask(4, 4, 2, 1)
         b = build_shift_mask(4, 4, 2, 1)
-        assert a.data is b.data
+        assert a is b
         with pytest.raises(ValueError):
-            a.data[0, 0, 0] = 0.0
+            a[0, 0, 0] = 0.0
 
 
 def nodes_per_iteration(monkeypatch, placement, task):
@@ -276,7 +276,7 @@ def nodes_per_iteration(monkeypatch, placement, task):
 
 class TestTapeSize:
     def test_nano_none_iteration(self, monkeypatch):
-        assert nodes_per_iteration(monkeypatch, CbamPlacement.NONE, "classification") <= 160
+        assert nodes_per_iteration(monkeypatch, CbamPlacement.NONE, "classification") == 129
 
     def test_nano_block_localization_iteration(self, monkeypatch):
-        assert nodes_per_iteration(monkeypatch, CbamPlacement.BLOCK, "localization") <= 265
+        assert nodes_per_iteration(monkeypatch, CbamPlacement.BLOCK, "localization") == 235
