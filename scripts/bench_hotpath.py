@@ -3,13 +3,15 @@
     PYTHONPATH=src python3 scripts/bench_hotpath.py
 
 Prints one JSON document of median and min milliseconds over REPEATS runs
-(NANO_ITERS iterations for the nano loop) of:
+(NANO_ITERS for the nano loop and the nano ``adamw_step``) of:
 
 - ``gelu``: one forward and one backward call at the stage-0 MLP shapes
   of the nano config (batch 16, 32x32) and the full-size config (batch 1,
   224x224);
-- ``adamw_step``: one step over the full-size backbone's parameters with
-  random gradients;
+- ``adamw_step``: one step with random gradients over the full-size
+  backbone's parameters (few large tensors, bound by memory traffic) and
+  over what a nano ``block`` classification run steps (backbone and head:
+  many small tensors, bound by per-tensor Python overhead);
 - ``nano_iteration``: one training iteration at batch 16 for placements
   ``none`` and ``block``, from ``train.bench`` after its warmup;
 - ``full``: one full-size forward under ``no_grad`` and one training
@@ -43,7 +45,8 @@ from railswin import tensor as T  # noqa: E402
 from railswin.optim import AdamState, adamw_step  # noqa: E402
 from railswin.swin import CbamPlacement, SwinBackbone, nano_config, tiny_config  # noqa: E402
 from railswin.synth import SyntheticSpec  # noqa: E402
-from railswin.train import TASKS, WARMUP_ITERS, TrainConfig, bench, train  # noqa: E402
+from railswin.train import (TASKS, WARMUP_ITERS, TrainConfig, bench,  # noqa: E402
+                            init_head_params, train)
 
 REPEATS = 5
 NANO_ITERS = 20
@@ -84,14 +87,18 @@ def time_gelu(shape):
             "backward": summary(timed(bwd))}
 
 
-def time_adamw():
-    backbone = SwinBackbone(tiny_config(seed=0))
-    params = [t for _, t in backbone.named_parameters()]
+def time_adamw(params, repeats=REPEATS):
     rng = np.random.default_rng(0)
     grads = [rng.normal(size=p.shape) for p in params]
     state = AdamState.init(params)
-    s = timed(lambda: adamw_step(params, grads, state, 1e-3, weight_decay=0.05))
+    s = timed(lambda: adamw_step(params, grads, state, 1e-3, weight_decay=0.05), repeats)
     return {"tensors": len(params), "values": sum(p.size for p in params), **summary(s)}
+
+
+def nano_block_parameters():
+    cfg = nano_config(CbamPlacement.BLOCK, seed=0)
+    head = init_head_params(cfg, 3, "classification")
+    return [t for _, t in SwinBackbone(cfg).named_parameters() + head.named_parameters()]
 
 
 def train_iterations(swin, batch, iters):
@@ -149,7 +156,9 @@ def main():
               "full_rounds": full_rounds(),
               "gelu": {"nano": time_gelu(stage0_mlp_shape(nano, 16)),
                        "full": time_gelu(stage0_mlp_shape(full, 1))},
-              "adamw_step": time_adamw(),
+              "adamw_step": {
+                  "full": time_adamw([t for _, t in SwinBackbone(full).named_parameters()]),
+                  "nano": time_adamw(nano_block_parameters(), NANO_ITERS)},
               "nano_iteration": {p.value: train_iterations(nano_config(p, seed=0), 16, NANO_ITERS)
                                  for p in (CbamPlacement.NONE, CbamPlacement.BLOCK)}}
     backbone = SwinBackbone(full)

@@ -144,9 +144,13 @@ def cmd_train(args):
     out = _ensure_out(args)
     result = train(cfg, out_dir=out, resume=args.resume)
     if result.losses:
+        timing = result.timing
+        if timing.retained():
+            iter_time = f"iter time {timing.mean():.4f}s ± {timing.std():.4f}s"
+        else:
+            iter_time = f"no iteration timed: all fall within the {timing.warmup}-iteration warmup"
         print(f"trained {len(result.losses)} iterations; "
-              f"final loss {result.losses[-1]:.4f}; "
-              f"iter time {result.timing.mean():.4f}s ± {result.timing.std():.4f}s")
+              f"final loss {result.losses[-1]:.4f}; {iter_time}")
     else:
         print("nothing to train: checkpoint already covers the configured iterations")
     print(f"checkpoint: {result.checkpoint_path}")

@@ -23,6 +23,11 @@ class AdamState:
                    v=[np.zeros_like(p.data) for p in params], t=0)
 
 
+# Elements per cache block: 128 KB per float64 operand, so the blocks of p,
+# g, m and v and the two scratch blocks stay resident in a 2 MiB L2.
+CHUNK = 16384
+
+
 def adamw_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
     """One AdamW update, in place.
 
@@ -37,34 +42,52 @@ def adamw_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8, weight_de
     state.t += 1
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
-    # Two scratch buffers, sized for the largest gradient, hold every
-    # temporary.  Each ufunc call below is one operation of
-    #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+    decay = 1.0 - lr * weight_decay
+    # Each tensor is updated CHUNK elements at a time, decay included, so
+    # each block is read from memory once.  Two block-sized scratch buffers
+    # hold every temporary.  Each ufunc call below is one operation of
+    #   p *= 1 - lr*wd;  m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
     #   p -= (lr * (m/bc1)) / (sqrt(v/bc2) + eps)
     # in that order, so the update is bit-identical to the expression form.
-    size = max((g.size for g in grads if g is not None), default=0)
-    buf1, buf2 = np.empty(size), np.empty(size)
+    buf1, buf2 = np.empty(CHUNK), np.empty(CHUNK)
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        if weight_decay:
-            p.data *= 1.0 - lr * weight_decay
         if g is None:
+            if weight_decay:
+                p.data *= decay
             continue
         if g.shape != p.data.shape:
             raise ShapeMismatch(f"adamw_step: grad {g.shape} != param {p.data.shape}")
-        s1 = buf1[:g.size].reshape(g.shape)
-        s2 = buf2[:g.size].reshape(g.shape)
-        m *= b1
-        np.multiply(g, 1.0 - b1, out=s1)
-        m += s1
-        v *= b2
-        np.multiply(g, 1.0 - b2, out=s1)
-        s1 *= g
-        v += s1
-        np.divide(m, bc1, out=s1)
-        s1 *= lr
-        np.divide(v, bc2, out=s2)
-        np.sqrt(s2, out=s2)
-        s2 += eps
-        s1 /= s2
-        p.data -= s1
+        for pc, gc, mc, vc, s1, s2 in _blocks(p.data, g, m, v, buf1, buf2):
+            if weight_decay:
+                pc *= decay
+            mc *= b1
+            np.multiply(gc, 1.0 - b1, out=s1)
+            mc += s1
+            vc *= b2
+            np.multiply(gc, 1.0 - b2, out=s1)
+            s1 *= gc
+            vc += s1
+            np.divide(mc, bc1, out=s1)
+            s1 *= lr
+            np.divide(vc, bc2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += eps
+            s1 /= s2
+            pc -= s1
     return state
+
+
+def _blocks(p, g, m, v, buf1, buf2):
+    """Matching (p, g, m, v, scratch, scratch) blocks of one tensor's update.
+
+    The blocks are views, so writes land in ``p``, ``m`` and ``v``.  A
+    tensor that is not C-contiguous throughout has no flat view; it is one
+    block, with scratch of its own shape.
+    """
+    if not all(a.flags.c_contiguous for a in (p, g, m, v)):
+        yield p, g, m, v, np.empty(g.shape), np.empty(g.shape)
+        return
+    p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
+    for i in range(0, g.size, CHUNK):
+        j, n = i + CHUNK, min(CHUNK, g.size - i)
+        yield p[i:j], g[i:j], m[i:j], v[i:j], buf1[:n], buf2[:n]

@@ -240,7 +240,7 @@ def linear(x, w, bias=None, batch_axes=None):
         xd = xd.reshape(x.shape[:batch_axes] + (math.prod(x.shape[batch_axes:-1]), x.shape[-1]))
     data = (xd @ w.data.T).reshape(x.shape[:-1] + (w.shape[0],))
     if bias is not None:
-        data = data + bias.data
+        data += bias.data
 
     def backward(out):
         g = out.grad
@@ -344,15 +344,35 @@ _GELU_A = 0.044715
 def gelu(x):
     """GELU, tanh form: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
     xd = x.data
-    # xd**3 would go through libm pow, about 40x slower than two multiplies
-    inner = _GELU_C * (xd + _GELU_A * (xd * xd * xd))
-    t = np.tanh(inner)
-    y = 0.5 * xd * (1.0 + t)
+    # t = tanh(C * (x + A * (x*x*x))), then y = (0.5*x) * (1 + t), each step
+    # written into a buffer this op allocated (asarray: numpy returns a scalar
+    # for 0-d operands).  x*x*x, not x**3, which would go through libm pow,
+    # about 40x slower than two multiplies.
+    t = np.asarray(xd * xd)
+    t *= xd
+    t *= _GELU_A
+    np.add(xd, t, out=t)
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = 0.5 * xd
+    y *= 1.0 + t
 
     def backward(out):
-        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * (xd * xd))
-        dy = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner
-        _accum(x, out.grad * dy)
+        # dy = 0.5*(1 + t) + ((0.5*x) * (1 - t*t)) * (C * (1 + 3A * (x*x)))
+        dinner = xd * xd
+        dinner *= 3.0 * _GELU_A
+        dinner += 1.0
+        dinner *= _GELU_C
+        dy = np.asarray(t * t)
+        np.subtract(1.0, dy, out=dy)
+        rest = 0.5 * xd
+        rest *= dy
+        rest *= dinner
+        np.add(1.0, t, out=dy)
+        dy *= 0.5
+        dy += rest
+        dy *= out.grad
+        _accum(x, dy)
 
     return _make(y, (x,), backward)
 
@@ -361,13 +381,16 @@ def softmax(x, axis=-1):
     """Shift-invariant softmax along ``axis``; slices sum to 1."""
     if not -x.ndim <= axis < x.ndim:
         raise InvalidParam(f"softmax axis {axis} invalid for shape {x.shape}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def backward(out):
         g = out.grad
-        _accum(x, y * (g - (g * y).sum(axis=axis, keepdims=True)))
+        gx = g * y
+        np.subtract(g, gx.sum(axis=axis, keepdims=True), out=gx)
+        gx *= y
+        _accum(x, gx)
 
     return _make(y, (x,), backward)
 
@@ -377,24 +400,33 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     D = x.shape[-1]
     if gamma.shape != (D,) or beta.shape != (D,):
         raise ShapeMismatch(f"layer_norm: gamma/beta {gamma.shape}/{beta.shape} != ({D},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    y = gamma.data * xhat + beta.data
+    # The centred input becomes xhat in place, and the buffer of its squares
+    # becomes y.
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    y = np.square(xhat)
+    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    np.multiply(gamma.data, xhat, out=y)
+    y += beta.data
 
     def backward(out):
         g = out.grad
-        gxhat = g * gamma.data
+        tmp = None
         if x.requires_grad:
-            gx = (inv / D) * (
-                D * gxhat
-                - gxhat.sum(axis=-1, keepdims=True)
-                - xhat * (gxhat * xhat).sum(axis=-1, keepdims=True)
-            )
+            # gx = (inv/D) * (D*gxhat - sum(gxhat) - xhat * sum(gxhat*xhat)), gxhat = g*gamma
+            gx = g * gamma.data
+            tmp = gx * xhat
+            s = tmp.sum(axis=-1, keepdims=True)
+            s_gxhat = gx.sum(axis=-1, keepdims=True)
+            gx *= D
+            gx -= s_gxhat
+            np.multiply(xhat, s, out=tmp)
+            gx -= tmp
+            np.multiply(inv / D, gx, out=gx)
             _accum(x, gx)
-        _accum(gamma, (g * xhat).reshape(-1, D).sum(axis=0))
+        if gamma.requires_grad:
+            tmp = np.multiply(g, xhat, out=tmp)
+            _accum(gamma, tmp.reshape(-1, D).sum(axis=0))
         _accum(beta, g.reshape(-1, D).sum(axis=0))
 
     return _make(y, (x, gamma, beta), backward)

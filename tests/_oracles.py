@@ -258,6 +258,87 @@ def oracle_gelu(xd):
     return y, dy
 
 
+# Tape ops as ``tensor`` wrote them before they reused the buffers they
+# allocate: one fresh array per numpy call.  They record on the package's
+# tape through ``T._make`` and ``T._accum``.
+
+
+def oracle_linear(x, w, bias=None, batch_axes=None):
+    """``tensor.linear`` with the bias added out of place."""
+    xd = x.data
+    if batch_axes is not None:
+        xd = xd.reshape(x.shape[:batch_axes] + (math.prod(x.shape[batch_axes:-1]), x.shape[-1]))
+    data = (xd @ w.data.T).reshape(x.shape[:-1] + (w.shape[0],))
+    if bias is not None:
+        data = data + bias.data
+
+    def backward(out):
+        g = out.grad
+        g2 = g.reshape(-1, w.data.shape[0])
+        if x.requires_grad:
+            gx = g.reshape(xd.shape[:-1] + (w.shape[0],)) @ w.data
+            T._accum(x, gx.reshape(x.data.shape))
+        if w.requires_grad:
+            T._accum(w, g2.T @ xd.reshape(-1, w.data.shape[1]))
+        if bias is not None and bias.requires_grad:
+            T._accum(bias, g2.sum(axis=0))
+
+    return T._make(data, (x, w) if bias is None else (x, w, bias), backward)
+
+
+def oracle_layer_norm(x, gamma, beta, eps=1e-5):
+    D = x.shape[-1]
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xc = x.data - mu
+    var = (xc**2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    y = gamma.data * xhat + beta.data
+
+    def backward(out):
+        g = out.grad
+        gxhat = g * gamma.data
+        if x.requires_grad:
+            gx = (inv / D) * (
+                D * gxhat
+                - gxhat.sum(axis=-1, keepdims=True)
+                - xhat * (gxhat * xhat).sum(axis=-1, keepdims=True)
+            )
+            T._accum(x, gx)
+        T._accum(gamma, (g * xhat).reshape(-1, D).sum(axis=0))
+        T._accum(beta, g.reshape(-1, D).sum(axis=0))
+
+    return T._make(y, (x, gamma, beta), backward)
+
+
+def oracle_gelu_op(x):
+    """``tensor.gelu`` in the products form, before it reused its buffers."""
+    xd = x.data
+    c, a = np.sqrt(2.0 / np.pi), 0.044715
+    inner = c * (xd + a * (xd * xd * xd))
+    t = np.tanh(inner)
+    y = 0.5 * xd * (1.0 + t)
+
+    def backward(out):
+        dinner = c * (1.0 + 3.0 * a * (xd * xd))
+        dy = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner
+        T._accum(x, out.grad * dy)
+
+    return T._make(y, (x,), backward)
+
+
+def oracle_softmax(x, axis=-1):
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(out):
+        g = out.grad
+        T._accum(x, y * (g - (g * y).sum(axis=axis, keepdims=True)))
+
+    return T._make(y, (x,), backward)
+
+
 # Shifted-window attention composed from single tape ops, as ``swin`` built it
 # before the windowing, attention core and un-windowing became one node each.
 

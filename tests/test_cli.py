@@ -216,6 +216,26 @@ def test_ablate_command(workspace, tmp_path):
     assert [ln.split(",")[0] for ln in lines[1:]] == ["none", "model", "stage", "block"]
 
 
+def test_train_reports_iteration_time_only_after_warmup(workspace, capsys):
+    """4 iterations all fall within the warmup, so no time is made up; 7 leave 2 timed."""
+    tmp, _, cfg_path = workspace
+    assert json.loads(cfg_path.read_text())["max_iterations"] == 4
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp / "w")]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith("trained 4 iterations; final loss ")
+    assert first.endswith("; no iteration timed: all fall within the 5-iteration warmup")
+    assert "iter time" not in first and "0.0000s" not in first
+
+    doc = json.loads(cfg_path.read_text())
+    doc["max_iterations"] = 7
+    longer = tmp / "longer.json"
+    longer.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(longer), "--out", str(tmp / "l")]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith("trained 7 iterations; final loss ") and "; iter time " in first
+    assert "0.0000s ±" not in first
+
+
 def test_train_resume_flag(workspace):
     tmp, _, cfg_path = workspace
     assert main(["train", "--config", str(cfg_path), "--out", str(tmp / "r1")]) == 0

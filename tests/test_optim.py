@@ -5,7 +5,7 @@ import pytest
 
 from _oracles import oracle_adamw_step
 from railswin.errors import ShapeMismatch
-from railswin.optim import AdamState, adamw_step
+from railswin.optim import CHUNK, AdamState, adamw_step
 from railswin.tensor import Tensor
 
 
@@ -77,12 +77,23 @@ def test_shape_mismatch():
 
 @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
 def test_in_place_update_is_bit_identical_to_expression_form(weight_decay):
-    """Five steps over 0-d to 4-d tensors, one of them without a gradient, equal with ==."""
+    """Five steps over 0-d to 4-d tensors, one of them without a gradient, equal with ==.
+
+    One tensor spans two full blocks and a partial third; one parameter's
+    ``.data`` is a transposed view, which has no flat view to update.
+    """
     r = np.random.default_rng(3)
-    shapes = [(), (7,), (3, 5), (2, 3, 4), (2, 2, 3, 3), (4,)]
+    shapes = [(), (7,), (3, 5), (2, 3, 4), (2, 2, 3, 3), (4,), (2 * CHUNK + 3,), (6, 5)]
     init = [r.normal(size=s) for s in shapes]
-    mine = [Tensor(a.copy(), requires_grad=True) for a in init]
-    ref = [Tensor(a.copy(), requires_grad=True) for a in init]
+
+    def tensors():
+        ts = [Tensor(a.copy(), requires_grad=True) for a in init]
+        ts[7].data = init[7].T.copy().T  # a transposed view
+        return ts
+
+    mine, ref = tensors(), tensors()
+    view = mine[7].data
+    assert not view.flags.c_contiguous and view.base is not None
     s_mine, s_ref = AdamState.init(mine), AdamState.init(ref)
     for step in range(5):
         grads = [r.normal(size=s) * 10.0 ** r.integers(-6, 3) for s in shapes]
@@ -96,4 +107,6 @@ def test_in_place_update_is_bit_identical_to_expression_form(weight_decay):
         for a, b, ma, mb, va, vb in zip(mine, ref, s_mine.m, s_ref.m, s_mine.v, s_ref.v):
             assert np.array_equal(a.data, b.data)
             assert np.array_equal(ma, mb) and np.array_equal(va, vb)
-    assert not np.array_equal(mine[0].data, init[0])  # the steps did move the parameters
+    for a, b in zip(mine, init):
+        assert not np.array_equal(a.data, b)  # the steps did move every parameter
+    assert mine[7].data is view  # updated in place

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from _oracles import oracle_accum, oracle_gelu
+from _oracles import (oracle_accum, oracle_gelu, oracle_gelu_op, oracle_layer_norm, oracle_linear,
+                      oracle_softmax)
 from railswin import tensor as T
 from railswin.errors import InvalidParam, NoTape, NonFinite, NotScalar, ShapeMismatch
 from railswin.tensor import Tensor, backward, grad_check
@@ -409,6 +410,113 @@ class TestAccumOracle:
         _assert_grads_equal_to_oracle_accum(monkeypatch, build)
         nonzero = [n for n, t in backbone.named_parameters() if t.grad is not None and t.grad.any()]
         assert len(nonzero) > 50 and any(".cbam." in n for n in nonzero)
+
+
+# Stage-0 shapes: the nano config at batch 16 (32x32 input) and the full-size
+# config at batch 1 (224x224): the block grid, its MLP width, and the
+# attention scores [B, windows, heads, T, T].
+KERNEL_SHAPES = {"nano": {"grid": (16, 8, 8, 16), "hidden": 32, "scores": (16, 16, 1, 4, 4)},
+                 "full": {"grid": (1, 56, 56, 96), "hidden": 384, "scores": (1, 64, 3, 49, 49)}}
+
+
+def _fortran(a):
+    """The same values in column-major memory: not C-contiguous for rank >= 2."""
+    return np.asfortranarray(a)
+
+
+def _layout(a):
+    """Strides of the axes longer than 1: the order an array's memory is walked in."""
+    return tuple(st for st, n in zip(a.strides, a.shape) if n > 1)
+
+
+def _forward_backward(op, args, upstream):
+    """Output and input gradients of one node, back-propagating ``upstream``."""
+    y = op(*args)
+    y.grad = upstream
+    y._backward(y)
+    return y.data, [a.grad for a in args]
+
+
+def _assert_kernel_matches_oracle(op, oracle, arrays, upstream, *extra):
+    """New and previous body: outputs and gradients ==, in the same memory layout."""
+    upstream_before = upstream.copy()
+
+    def tensors():
+        return [Tensor(a.copy(order="K"), requires_grad=True) for a in arrays] + list(extra)
+
+    args = tensors()
+    y, grads = _forward_backward(op, args, upstream)
+    y_ref, grads_ref = _forward_backward(oracle, tensors(), upstream)
+    assert np.array_equal(y, y_ref) and _layout(y) == _layout(y_ref)
+    for g, g_ref in zip(grads, grads_ref):
+        assert (g is None) == (g_ref is None)
+        if g is not None:
+            assert np.array_equal(g, g_ref) and _layout(g) == _layout(g_ref)
+    assert all(t.grad is not None for t in args[:len(arrays)])
+    assert np.array_equal(upstream, upstream_before)  # an upstream gradient is never written
+    for a, t in zip(arrays, args):
+        assert np.array_equal(t.data, a)
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "fortran-grad", "fortran-input-and-grad"])
+@pytest.mark.parametrize("size", ["nano", "full"])
+class TestRewrittenKernelOracles:
+    """linear, layer_norm, gelu and softmax write into arrays they allocate;
+    their earlier bodies (``_oracles``) hold them to ==."""
+
+    def _inputs(self, shape, layout, seed):
+        r = rng(seed)
+        x = r.normal(size=shape)
+        return (_fortran(x) if layout == "fortran-input-and-grad" else x), r
+
+    def _grad(self, r, shape, layout):
+        g = r.normal(size=shape)
+        return g if layout == "contiguous" else _fortran(g)
+
+    def test_linear(self, size, layout):
+        grid, hidden = KERNEL_SHAPES[size]["grid"], KERNEL_SHAPES[size]["hidden"]
+        x, r = self._inputs(grid, layout, 11)
+        w, b = r.normal(size=(hidden, grid[-1])), r.normal(size=(hidden,))
+        g = self._grad(r, grid[:-1] + (hidden,), layout)
+        _assert_kernel_matches_oracle(lambda x, w, b: T.linear(x, w, b, batch_axes=1),
+                                      lambda x, w, b: oracle_linear(x, w, b, batch_axes=1),
+                                      [x, w, b], g)
+
+    def test_layer_norm(self, size, layout):
+        grid = KERNEL_SHAPES[size]["grid"]
+        x, r = self._inputs(grid, layout, 12)
+        x = x * 3.0 + 1.5
+        gamma, beta = r.normal(size=grid[-1:]), r.normal(size=grid[-1:])
+        _assert_kernel_matches_oracle(T.layer_norm, oracle_layer_norm, [x, gamma, beta],
+                                      self._grad(r, grid, layout))
+
+    def test_layer_norm_constant_affine(self, size, layout):
+        """gamma and beta without gradients: only the input's is computed."""
+        grid = KERNEL_SHAPES[size]["grid"]
+        x, r = self._inputs(grid, layout, 13)
+        gamma, beta = Tensor(r.normal(size=grid[-1:])), Tensor(r.normal(size=grid[-1:]))
+        _assert_kernel_matches_oracle(T.layer_norm, oracle_layer_norm, [x],
+                                      self._grad(r, grid, layout), gamma, beta)
+
+    def test_gelu(self, size, layout):
+        shape = KERNEL_SHAPES[size]["grid"][:-1] + (KERNEL_SHAPES[size]["hidden"],)
+        x, r = self._inputs(shape, layout, 14)
+        _assert_kernel_matches_oracle(T.gelu, oracle_gelu_op, [x * 2.0],
+                                      self._grad(r, shape, layout))
+
+    def test_softmax(self, size, layout):
+        shape = KERNEL_SHAPES[size]["scores"]
+        x, r = self._inputs(shape, layout, 15)
+        _assert_kernel_matches_oracle(T.softmax, oracle_softmax, [x * 4.0],
+                                      self._grad(r, shape, layout))
+
+
+def test_gelu_0d_matches_oracle():
+    x, x_ref = Tensor(-0.7, requires_grad=True), Tensor(-0.7, requires_grad=True)
+    y, y_ref = T.gelu(x), oracle_gelu_op(x_ref)
+    backward(y)
+    backward(y_ref)
+    assert y.shape == () and y.data == y_ref.data and x.grad == x_ref.grad
 
 
 def _conv_pad1(x, k):
