@@ -1,0 +1,116 @@
+"""sha256 digests of what nano training produces, to compare two checkouts.
+
+    PYTHONPATH=src python3 scripts/digest.py
+
+For each placement x task, trains the nano config for ITERATIONS steps at
+batch BATCH on a seeded synthetic set and prints one line per artifact:
+
+* ``losses``: the loss curve, as the bytes of each float;
+* ``params``: every ``param.*`` array of the saved checkpoint;
+* ``moments``: every ``adam_m.*`` and ``adam_v.*`` array of it;
+* ``outputs``: the ``predict_detections`` tuples on a held-out synthetic
+  set (localization), or the head's logits on it (classification);
+* ``report``: the ``evaluate`` report of those detections (localization).
+
+Arrays enter a digest in checkpoint order, each with its name, dtype and
+shape.  Then ``run_ablation`` runs every placement, and each row of its
+CSV, without the ``iter_time_*`` columns, is printed with its digest.
+BLAS runs single-threaded.  Point PYTHONPATH at another checkout's ``src``
+and diff the two outputs.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import tempfile
+from dataclasses import replace
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+from railswin.metrics import evaluate, report_to_dict  # noqa: E402
+from railswin.swin import CbamPlacement, nano_config  # noqa: E402
+from railswin.synth import SyntheticSpec, generate_synthetic  # noqa: E402
+from railswin.tensor import no_grad  # noqa: E402
+from railswin.train import (  # noqa: E402
+    TrainConfig,
+    _image_tensor,
+    head_forward,
+    predict_detections,
+    run_ablation,
+    train,
+)
+
+ITERATIONS = 100
+BATCH = 16
+TRAIN_IMAGES = 32
+VAL_IMAGES = 16
+SEED = 0
+
+
+def sha(*parts):
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else str(part).encode())
+    return h.hexdigest()
+
+
+def arrays_sha(blob, prefixes):
+    parts = []
+    for name in blob.files:
+        if name.startswith(prefixes):
+            a = blob[name]
+            parts += [name, a.dtype, a.shape, np.ascontiguousarray(a).tobytes()]
+    return sha(*parts)
+
+
+def config(placement, task):
+    return TrainConfig(swin=nano_config(placement, seed=SEED), seed=SEED,
+                       max_iterations=ITERATIONS, epochs=ITERATIONS, batch_size=BATCH,
+                       task=task, synthetic=SyntheticSpec(num_images=TRAIN_IMAGES, seed=SEED))
+
+
+def digest_run(placement, task, workdir):
+    cfg = config(placement, task)
+    result = train(cfg, out_dir=workdir)
+    val = generate_synthetic(replace(cfg.synthetic, seed=SEED + 100_000,
+                                     num_images=VAL_IMAGES))
+    lines = {"losses": sha(np.array(result.losses).tobytes())}
+    with np.load(result.checkpoint_path) as blob:
+        lines["params"] = arrays_sha(blob, ("param.",))
+        lines["moments"] = arrays_sha(blob, ("adam_m.", "adam_v."))
+    if task == "localization":
+        dets = predict_detections(result.backbone, result.head, val)
+        lines["outputs"] = sha(*[(d.image_id, d.category_id, d.box.x, d.box.y, d.box.w,
+                                  d.box.h, d.score) for d in dets])
+        report = report_to_dict(evaluate(dets, val))
+        lines["report"] = sha(json.dumps(report, sort_keys=True))
+    else:
+        with no_grad():
+            logits = head_forward(result.backbone.forward(_image_tensor(val.images)),
+                                  result.head)
+        lines["outputs"] = sha(logits.data.tobytes())
+    for key, value in lines.items():
+        print(f"{placement.value}/{task} {key} {value}")
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        for placement in CbamPlacement:
+            for task in ("classification", "localization"):
+                digest_run(placement, task, os.path.join(tmp, f"{placement.value}-{task}"))
+    result = run_ablation(config(CbamPlacement.NONE, "localization"), seeds=(SEED,),
+                          val_images=VAL_IMAGES)
+    header, *rows = result.to_csv().splitlines()
+    keep = [i for i, c in enumerate(header.split(",")) if not c.startswith("iter_time_")]
+    for row in rows:
+        cells = ",".join(row.split(",")[i] for i in keep)
+        print(f"ablation {sha(cells)} {cells}")
+
+
+if __name__ == "__main__":
+    main()

@@ -25,7 +25,6 @@ from .data.planner import plan_and_execute_augmentation, split_train_val
 from .data.stats import category_stats, stats_to_csv
 from .errors import InvalidParam, ParseError, RailswinError
 from .metrics import evaluate, load_detections, report_to_csv, report_to_dict, size_ordered_report
-from .swin import CbamPlacement
 from .tensor import Tensor, grad_check
 from .train import (
     bench,
@@ -218,9 +217,7 @@ def cmd_gradcheck(args):
 
 def cmd_ablate(args):
     cfg = load_train_config(args.config)
-    variants = [CbamPlacement.NONE, CbamPlacement.MODEL,
-                CbamPlacement.STAGE, CbamPlacement.BLOCK]
-    result = run_ablation(cfg, variants=variants, seeds=args.seeds)
+    result = run_ablation(cfg, seeds=args.seeds)
     out = _ensure_out(args)
     with atomic_open(os.path.join(out, "ablation.csv")) as fh:
         fh.write(result.to_csv())

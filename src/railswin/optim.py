@@ -19,8 +19,9 @@ class AdamState:
 
     @classmethod
     def init(cls, params):
-        return cls(m=[np.zeros_like(p.data) for p in params],
-                   v=[np.zeros_like(p.data) for p in params], t=0)
+        # np.zeros leaves the pages untouched until the first step writes them
+        return cls(m=[np.zeros(p.data.shape) for p in params],
+                   v=[np.zeros(p.data.shape) for p in params], t=0)
 
 
 # Elements per cache block: 128 KB per float64 operand, so the blocks of p,

@@ -106,14 +106,18 @@ class SwinConfig:
             raise InvalidParam("swin seed must be >= 0")
         if len(self.input_size) != 2:
             raise InvalidParam("input_size must be (H, W)")
-        # the stem divides by patch_size and three mergings each halve
-        step = self.patch_size * 8
+        step = self.stage_stride(3)
         if any(v < 1 or v % step for v in self.input_size):
             raise InvalidParam(f"input_size {self.input_size} must be positive multiples "
                                f"of patch_size * 8 = {step}")
 
     def stage_dim(self, stage):
         return self.embed_dim * 2**stage
+
+    def stage_stride(self, stage):
+        """Input pixels along one side of a cell of a stage's map: the stem
+        divides by patch_size and each merging before the stage halves."""
+        return self.patch_size * 2**stage
 
 
 def nano_config(placement=CbamPlacement.NONE, seed=0):
@@ -602,17 +606,6 @@ def backbone_forward(image, cfg, params):
             grid = swin_block_forward(grid, bp, shift=0 if i % 2 == 0 else shift)
         features.append(_grid_to_chw(grid))
     return features
-
-
-def count_cbam_invocations(cfg):
-    """Attention applications per forward pass for the configured placement."""
-    if cfg.placement is CbamPlacement.NONE:
-        return 0
-    if cfg.placement is CbamPlacement.MODEL:
-        return 1
-    if cfg.placement is CbamPlacement.STAGE:
-        return 4
-    return sum(cfg.depths)
 
 
 class SwinBackbone:

@@ -86,36 +86,33 @@ class HeadParams:
     w: Tensor
     b: Tensor
     num_classes: int
+    stage: int  # the backbone stage whose map the head reads
 
     def named_parameters(self):
         return T.named_parameters(self, "head.")
 
 
 def init_head_params(cfg, num_classes, task):
+    """Classification reads the stage-4 map, localization the stage-3 map."""
     if task == "classification":
-        dim = cfg.stage_dim(3)
-        out = num_classes
+        stage, out = 3, num_classes
     else:
-        dim = cfg.stage_dim(2)
-        out = 5 + num_classes  # objectness, 4 offsets, class scores
+        stage, out = 2, 5 + num_classes  # objectness, 4 offsets, class scores
     # zero-init: logits start flat, avoiding the first-step loss spike
-    w = Tensor(np.zeros((out, dim)), requires_grad=True)
+    w = Tensor(np.zeros((out, cfg.stage_dim(stage))), requires_grad=True)
     b = Tensor(np.zeros(out), requires_grad=True)
-    return HeadParams(task=task, w=w, b=b, num_classes=num_classes)
+    return HeadParams(task=task, w=w, b=b, num_classes=num_classes, stage=stage)
 
 
 def head_forward(features, head):
-    """Classification: pooled stage-4 logits. Localization: per-cell raw maps."""
+    """Classification: pooled logits. Localization: per-cell raw outputs [..., h*w, 5+K]."""
+    f = features[head.stage]
+    if f.shape[-3] != head.w.shape[1]:
+        raise ShapeMismatch(f"head dim {head.w.shape[1]} != feature dim {f.shape[-3]}")
     if head.task == "classification":
-        f = features[3]
-        if f.shape[-3] != head.w.shape[1]:
-            raise ShapeMismatch(f"head dim {head.w.shape[1]} != feature dim {f.shape[-3]}")
         pooled = T.pool_spatial(f, "avg")
         vec = T.reshape(pooled, pooled.shape[:-2])
         return T.linear(vec, head.w, head.b)
-    f = features[2]
-    if f.shape[-3] != head.w.shape[1]:
-        raise ShapeMismatch(f"head dim {head.w.shape[1]} != feature dim {f.shape[-3]}")
     h, w = f.shape[-2], f.shape[-1]
     n = f.ndim - 3
     grid = T.transpose(f, tuple(range(n)) + (n + 1, n + 2, n))  # [..., h, w, D]
@@ -199,6 +196,15 @@ def localization_loss(raw, batch_images, grid_hw, stride, cat_index):
 # timing
 
 
+def _mean(values):
+    """The mean of measured values; None when nothing was measured."""
+    return float(np.mean(values)) if values else None
+
+
+def _std(values):
+    return float(np.std(values)) if values else None
+
+
 @dataclass
 class IterTimingLog:
     seconds: list = field(default_factory=list)
@@ -208,12 +214,10 @@ class IterTimingLog:
         return self.seconds[self.warmup:]
 
     def mean(self):
-        r = self.retained()
-        return float(np.mean(r)) if r else 0.0
+        return _mean(self.retained())
 
     def std(self):
-        r = self.retained()
-        return float(np.std(r)) if r else 0.0
+        return _std(self.retained())
 
     def to_csv(self):
         lines = ["iteration,seconds"]
@@ -360,11 +364,6 @@ def train(cfg, out_dir=None, resume=None, data=None):
     if resume is None:
         adam_state = AdamState.init(params)
 
-    if cfg.task == "localization":
-        gh = cfg.swin.input_size[0] // (cfg.swin.patch_size * 4)
-        gw = cfg.swin.input_size[1] // (cfg.swin.patch_size * 4)
-        stride = cfg.swin.patch_size * 4
-
     n = len(data.images)
     iters_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     total = cfg.epochs * iters_per_epoch
@@ -388,13 +387,13 @@ def train(cfg, out_dir=None, resume=None, data=None):
         x = _image_tensor(batch)
 
         features = backbone.forward(x)
+        out = head_forward(features, head)
         if cfg.task == "classification":
-            logits = head_forward(features, head)
             labels = np.array([_class_label(im, cat_index) for im in batch])
-            loss = T.cross_entropy(logits, labels)
+            loss = T.cross_entropy(out, labels)
         else:
-            raw = head_forward(features, head)
-            loss = localization_loss(raw, batch, (gh, gw), stride, cat_index)
+            loss = localization_loss(out, batch, features[head.stage].shape[-2:],
+                                     cfg.swin.stage_stride(head.stage), cat_index)
 
         value = loss.item()
         if not np.isfinite(value):
@@ -444,7 +443,7 @@ def predict_detections(backbone, head, dataset, score_thresh=0.05, max_dets=100)
         if im.pixels is None:
             raise ParseError(f"image {im.id} has no pixels: file {im.file_name!r} "
                              "is missing or not a PNM")
-    stride = backbone.cfg.patch_size * 4
+    stride = backbone.cfg.stage_stride(head.stage)
     cat_ids = sorted(dataset.categories)
     out = []
     with no_grad():
@@ -452,11 +451,11 @@ def predict_detections(backbone, head, dataset, score_thresh=0.05, max_dets=100)
             run = list(run)
             for lo in range(0, len(run), PREDICT_CHUNK):
                 chunk = run[lo:lo + PREDICT_CHUNK]
-                raw = head_forward(backbone.forward(_image_tensor(chunk)), head)
+                features = backbone.forward(_image_tensor(chunk))
+                raw = head_forward(features, head)
+                grid_hw = features[head.stage].shape[-2:]
                 for im, rows in zip(chunk, raw.data):
-                    gh = im.height // stride
-                    gw = im.width // stride
-                    out.extend(decode_detections(rows, (gh, gw), stride, im.id,
+                    out.extend(decode_detections(rows, grid_hw, stride, im.id,
                                                  (im.height, im.width), cat_ids,
                                                  score_thresh=score_thresh,
                                                  max_dets=max_dets))
@@ -490,24 +489,29 @@ class AblationResult:
     def to_csv(self):
         lines = [",".join(ABLATION_CSV_COLUMNS)]
         for row in self.summary:
-            lines.append(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                                  for c in ABLATION_CSV_COLUMNS))
+            lines.append(",".join(_cell(row[c]) for c in ABLATION_CSV_COLUMNS))
         return "\n".join(lines) + "\n"
 
 
-def run_ablation(base_cfg, variants=None, seeds=(0,), val_images=60):
+def _cell(value):
+    """A CSV cell; None, a value with nothing measured behind it, is empty."""
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def run_ablation(base_cfg, variants=tuple(CbamPlacement), seeds=(0,), val_images=60):
     """Train/evaluate every placement variant on identical data per seed.
 
     Numbers are reported as measured; no attempt is made to reproduce
-    full-scale results.
+    full-scale results.  A summary value with nothing measured behind it
+    (every iteration in the warmup, no category of a size class) is None.
     """
-    if variants is None:
-        variants = [CbamPlacement.NONE, CbamPlacement.MODEL,
-                    CbamPlacement.STAGE, CbamPlacement.BLOCK]
     if not seeds:
         raise InvalidParam("run_ablation needs at least one seed")
-    runs = []
+    runs, summary = [], []
     for variant in variants:
+        mine = []
         for seed in seeds:
             swin = replace(base_cfg.swin, placement=variant, seed=seed)
             synth = base_cfg.synthetic or SyntheticSpec(image_size=swin.input_size)
@@ -523,26 +527,21 @@ def run_ablation(base_cfg, variants=None, seeds=(0,), val_images=60):
                      if size_class.get(pc.category_id) == "small"]
             regular = [pc.ap50 for pc in report.per_category
                        if size_class.get(pc.category_id) == "regular"]
-            runs.append(AblationRun(
-                variant=variant.value, seed=seed, report=report, timing=result.timing,
-                ap50_small=float(np.mean(small)) if small else None,
-                ap50_regular=float(np.mean(regular)) if regular else None))
-
-    summary = []
-    for variant in variants:
-        mine = [r for r in runs if r.variant == variant.value]
+            mine.append(AblationRun(variant=variant.value, seed=seed, report=report,
+                                    timing=result.timing, ap50_small=_mean(small),
+                                    ap50_regular=_mean(regular)))
+        runs += mine
         times = [s for r in mine for s in r.timing.retained()]
-        small = [r.ap50_small for r in mine if r.ap50_small is not None]
-        regular = [r.ap50_regular for r in mine if r.ap50_regular is not None]
         summary.append({
             "variant": variant.value,
-            "map50": float(np.mean([r.report.map50 for r in mine])),
-            "map75": float(np.mean([r.report.map75 for r in mine])),
-            "ar100": float(np.mean([r.report.mar100 for r in mine])),
-            "iter_time_mean": float(np.mean(times)) if times else 0.0,
-            "iter_time_std": float(np.std(times)) if times else 0.0,
-            "map50_small": float(np.mean(small)) if small else 0.0,
-            "map50_regular": float(np.mean(regular)) if regular else 0.0,
+            "map50": _mean([r.report.map50 for r in mine]),
+            "map75": _mean([r.report.map75 for r in mine]),
+            "ar100": _mean([r.report.mar100 for r in mine]),
+            "iter_time_mean": _mean(times),
+            "iter_time_std": _std(times),
+            "map50_small": _mean([r.ap50_small for r in mine if r.ap50_small is not None]),
+            "map50_regular": _mean([r.ap50_regular for r in mine
+                                    if r.ap50_regular is not None]),
         })
     return AblationResult(runs=runs, summary=summary)
 

@@ -214,6 +214,11 @@ def test_ablate_command(workspace, tmp_path):
     assert lines[0].startswith("variant,map50,")
     assert len(lines) == 5
     assert [ln.split(",")[0] for ln in lines[1:]] == ["none", "model", "stage", "block"]
+    for line in lines[1:]:
+        row = dict(zip(lines[0].split(","), line.split(",")))
+        # both iterations fall within the warmup: no time is made up
+        assert row["iter_time_mean"] == row["iter_time_std"] == ""
+        assert 0.0 <= float(row["map50"]) <= 1.0
 
 
 def test_train_reports_iteration_time_only_after_warmup(workspace, capsys):

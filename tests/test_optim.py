@@ -24,6 +24,34 @@ def oracle_adamw(p, grads, lr, b1, b2, eps, wd):
     return p
 
 
+def test_init_moments_are_c_contiguous_zeros_and_first_step_matches_oracle():
+    """The moments are fresh C-contiguous zeros, also for a transposed parameter."""
+    r = np.random.default_rng(4)
+    shapes = [(), (5,), (3, 4), (2 * CHUNK + 3,), (6, 5)]
+    init = [r.normal(size=s) for s in shapes]
+
+    def tensors():
+        ts = [Tensor(a.copy(), requires_grad=True) for a in init]
+        ts[4].data = init[4].T.copy().T  # a transposed view
+        return ts
+
+    mine, ref = tensors(), tensors()
+    state = AdamState.init(mine)
+    for p, m, v in zip(mine, state.m, state.v):
+        for moment in (m, v):
+            assert moment.shape == p.data.shape and moment.flags.c_contiguous
+            assert moment.dtype == np.float64 and not moment.any()
+    assert state.t == 0
+    ref_state = AdamState(m=[np.zeros(a.shape) for a in init],
+                          v=[np.zeros(a.shape) for a in init])
+    grads = [r.normal(size=s) for s in shapes]
+    adamw_step(mine, grads, state, lr=3e-3, weight_decay=0.05)
+    oracle_adamw_step(ref, grads, ref_state, lr=3e-3, weight_decay=0.05)
+    for a, b, ma, mb, va, vb in zip(mine, ref, state.m, ref_state.m, state.v, ref_state.v):
+        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(ma, mb) and np.array_equal(va, vb)
+
+
 def test_zero_grad_zero_decay_is_identity():
     p = Tensor([1.5, -2.0], requires_grad=True)
     state = AdamState.init([p])

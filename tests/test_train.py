@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,12 @@ import pytest
 from railswin import tensor as T
 from railswin.config import from_dict, to_dict
 from railswin.data.boxes import BBox
-from railswin.data.coco import AnnotatedImage, Dataset
+from railswin.data.coco import AnnotatedImage, Dataset, save_dataset
+from railswin.data.stats import category_stats
 from railswin.errors import InvalidParam, NonFiniteLoss, ParseError
 from railswin.metrics import evaluate
 from railswin.swin import CbamPlacement, SwinBackbone, nano_config, tiny_config
-from railswin.synth import SyntheticSpec
+from railswin.synth import SyntheticSpec, generate_synthetic
 from railswin.tensor import Tensor, no_grad
 from railswin.train import (
     IterTimingLog,
@@ -203,6 +205,19 @@ class TestLoop:
         assert len(res.losses) == 6
         assert all(np.isfinite(v) for v in res.losses)
 
+    def test_localization_grid_comes_from_the_map(self, tmp_path):
+        """64x64 images under a 32x32 input_size: the stage-3 map sets the 4x4 cell grid."""
+        data = generate_synthetic(SyntheticSpec(num_images=8, image_size=(64, 64), seed=4))
+        cfg = replace(quick_cfg(task="localization", iters=2),
+                      dataset=str(save_dataset(data, tmp_path / "data")))
+        assert cfg.swin.input_size == (32, 32)
+        res = train(cfg)
+        assert len(res.losses) == 2 and all(np.isfinite(v) for v in res.losses)
+        with no_grad():
+            raw = head_forward(res.backbone.forward(_image_tensor(res.data.images[:1])),
+                               res.head)
+        assert raw.shape == (1, 16, 5 + len(res.data.categories))
+
     def test_output_files(self, tmp_path):
         train(quick_cfg(), out_dir=tmp_path)
         assert (tmp_path / "loss_curve.csv").exists()
@@ -258,14 +273,12 @@ def _train_with_model(cfg, model):
 
 class TestCbamCounter:
     def test_training_iteration_matches_static_count(self, refine_calls):
-        from railswin.swin import count_cbam_invocations
-
-        for placement in (CbamPlacement.MODEL, CbamPlacement.STAGE, CbamPlacement.BLOCK):
-            cfg = quick_cfg(iters=1, placement=placement)
+        expected = {CbamPlacement.MODEL: 1, CbamPlacement.STAGE: 4, CbamPlacement.BLOCK: 8}
+        for placement, want in expected.items():
             refine_calls.clear()
-            train(cfg)
-            # one batched forward pass: the count equals the static count
-            assert len(refine_calls) == count_cbam_invocations(cfg.swin)
+            train(quick_cfg(iters=1, placement=placement))
+            # one batched forward pass: one application per gate
+            assert len(refine_calls) == want
 
 
 class TestTiming:
@@ -310,6 +323,19 @@ class TestAblation:
     def test_needs_seeds(self):
         with pytest.raises(InvalidParam):
             run_ablation(quick_cfg(task="localization"), seeds=())
+
+    def test_unmeasured_size_class_is_an_empty_cell(self):
+        base = quick_cfg(task="localization", iters=6, n=12)
+        result = run_ablation(base, variants=[CbamPlacement.NONE], seeds=(5,), val_images=6)
+        val = generate_synthetic(replace(base.synthetic, seed=5 + 100_000, num_images=6))
+        assert {s.size_class for s in category_stats(val)} == {"regular"}
+        row = result.summary[0]
+        assert row["map50_small"] is None and row["map50_regular"] is not None
+        assert row["iter_time_mean"] is not None  # one iteration after the warmup
+        header, line = result.to_csv().splitlines()
+        cells = dict(zip(header.split(","), line.split(",")))
+        assert cells["map50_small"] == ""
+        assert float(cells["map50_regular"]) == row["map50_regular"]
 
 
 class TestPrediction:
