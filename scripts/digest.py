@@ -12,6 +12,10 @@ batch BATCH on a seeded synthetic set and prints one line per artifact:
   set (localization), or the head's logits on it (classification);
 * ``report``: the ``evaluate`` report of those detections (localization).
 
+Each placement also gets a ``maps`` line: the four stage maps that
+``SwinBackbone.forward`` returns, with no stage limit, for a freshly
+initialised backbone on a fixed seeded batch.
+
 Arrays enter a digest in checkpoint order, each with its name, dtype and
 shape.  Then ``run_ablation`` runs every placement, and each row of its
 CSV, without the ``iter_time_*`` columns, is printed with its digest.
@@ -33,9 +37,9 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from railswin.metrics import evaluate, report_to_dict  # noqa: E402
-from railswin.swin import CbamPlacement, nano_config  # noqa: E402
+from railswin.swin import CbamPlacement, SwinBackbone, nano_config  # noqa: E402
 from railswin.synth import SyntheticSpec, generate_synthetic  # noqa: E402
-from railswin.tensor import no_grad  # noqa: E402
+from railswin.tensor import Tensor, no_grad  # noqa: E402
 from railswin.train import (  # noqa: E402
     TrainConfig,
     _image_tensor,
@@ -98,9 +102,20 @@ def digest_run(placement, task, workdir):
         print(f"{placement.value}/{task} {key} {value}")
 
 
+def digest_maps(placement):
+    cfg = nano_config(placement, seed=SEED)
+    image = np.random.default_rng(SEED).normal(size=(BATCH, 1) + cfg.input_size)
+    maps = SwinBackbone(cfg).forward(Tensor(image))
+    parts = []
+    for f in maps:
+        parts += [f.shape, np.ascontiguousarray(f.data).tobytes()]
+    print(f"{placement.value}/backbone maps {sha(len(maps), *parts)}")
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         for placement in CbamPlacement:
+            digest_maps(placement)
             for task in ("classification", "localization"):
                 digest_run(placement, task, os.path.join(tmp, f"{placement.value}-{task}"))
     result = run_ablation(config(CbamPlacement.NONE, "localization"), seeds=(SEED,),

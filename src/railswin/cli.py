@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .atomic import atomic_open
 from .cbam import ChannelAttentionParams, channel_attention_map
+from .config import from_dict
 from .data.coco import load_coco, save_dataset
 from .data.enhance import METHODS, enhance
 from .data.planner import plan_and_execute_augmentation, split_train_val
@@ -66,39 +67,32 @@ def _seeds(text):
     return [_seed(s) for s in text.split(",") if s]
 
 
+@dataclass
+class AugmentTargets:
+    """An augment-plan file: the train fraction and per-split category counts."""
+
+    fraction: float = 0.8
+    train: dict[str, int] = field(default_factory=dict)
+    val: dict[str, int] = field(default_factory=dict)
+
+
 def _load_targets(path, categories):
     """(fraction, train targets, val targets) from an augment-plan JSON file.
 
-    An unreadable file, a malformed document or a non-numeric value is a
-    ParseError; an unknown category name is an InvalidParam.
+    An unreadable file or a malformed document is a ParseError; an unknown
+    category name is an InvalidParam.
     """
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, ValueError) as e:
         raise ParseError(f"cannot read augment targets {path}: {e}") from e
-    if not isinstance(doc, dict):
-        raise ParseError("augment targets must be a JSON object")
-
-    def number(value, where, integral=False):
-        # JSON numbers only: no strings, no booleans, no NaN or Infinity
-        if type(value) is int or (type(value) is float and not integral
-                                  and math.isfinite(value)):
-            return value
-        kind = "an integer" if integral else "a finite number"
-        raise ParseError(f"augment targets: {where} must be {kind}, "
-                         f"got {json.dumps(value)}")
-
-    fraction = float(number(doc.get("fraction", 0.8), "fraction"))
+    targets = from_dict(AugmentTargets, doc, "augment targets")
     by_name = {name: cid for cid, name in categories.items()}
 
     def resolve(side):
-        raw = doc.get(side, {})
-        if not isinstance(raw, dict):
-            raise ParseError(f"augment targets: {side} must be a JSON object")
         out = {}
-        for key, count in raw.items():
-            count = number(count, f"{side}.{key}", integral=True)
+        for key, count in side.items():
             if key in by_name:
                 out[by_name[key]] = count
             elif key.isdigit() and int(key) in categories:
@@ -107,7 +101,7 @@ def _load_targets(path, categories):
                 raise InvalidParam(f"unknown category {key!r} in targets")
         return out
 
-    return fraction, resolve("train"), resolve("val")
+    return targets.fraction, resolve(targets.train), resolve(targets.val)
 
 
 def cmd_preprocess(args):

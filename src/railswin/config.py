@@ -51,6 +51,11 @@ def from_dict(cls, doc, path="config"):
             elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
                 raise ParseError(f"{path}: missing key {name!r}")
         return cls(**kwargs)
+    if typing.get_origin(cls) is dict:  # ``dict[str, V]``: JSON object keys are strings
+        item = typing.get_args(cls)[1]
+        if not isinstance(doc, dict):
+            _wrong(path, "object", doc)
+        return {k: from_dict(item, v, f"{path}.{k}") for k, v in doc.items()}
     if typing.get_origin(cls) is tuple:
         items = typing.get_args(cls)
         if not isinstance(doc, list):

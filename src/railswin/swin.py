@@ -591,15 +591,15 @@ def patch_merging(x, params, stage_cbam=None):
     return T.linear(x, params.w, batch_axes=n)
 
 
-def backbone_forward(image, cfg, params):
-    """Run all four stages; returns the four stage outputs as [..., D, H, W] maps."""
+def backbone_forward(image, cfg, params, stages=4):
+    """Run stages 0 .. stages-1; returns their outputs as [..., D, H, W] maps."""
     if params.model_cbam is not None:
         image = cbam_apply(image, params.model_cbam.cam, params.model_cbam.sam)
 
     grid = patch_partition_embed(image, cfg, params, stage_cbam=params.stages[0].cbam)
     shift = cfg.window_size // 2
     features = []
-    for s, st in enumerate(params.stages):
+    for s, st in enumerate(params.stages[:stages]):
         if s > 0:
             grid = patch_merging(grid, st.merge, stage_cbam=st.cbam)
         for i, bp in enumerate(st.blocks):
@@ -617,8 +617,8 @@ class SwinBackbone:
         self.in_channels = in_channels
         self.params = params if params is not None else init_backbone_params(cfg, in_channels)
 
-    def forward(self, image):
-        return backbone_forward(image, self.cfg, self.params)
+    def forward(self, image, stages=4):
+        return backbone_forward(image, self.cfg, self.params, stages)
 
     def named_parameters(self):
         return T.named_parameters(self.params)

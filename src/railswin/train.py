@@ -299,6 +299,12 @@ def load_checkpoint(path):
         raise ParseError(f"cannot read checkpoint {path}: {e}") from e
     try:
         meta = json.loads(str(arrays["meta"]))
+        if not isinstance(meta, dict):
+            raise ParseError(f"checkpoint {path}: meta is not a JSON object")
+        for key in ("iteration", "adam_t", "in_channels", "num_classes"):
+            if type(meta[key]) is not int or meta[key] < 0:
+                raise ParseError(f"checkpoint {path}: {key} must be a non-negative integer, "
+                                 f"got {json.dumps(meta[key])}")
         cfg = from_dict(TrainConfig, meta["config"])
         backbone = SwinBackbone(cfg.swin, in_channels=meta["in_channels"])
         head = init_head_params(cfg.swin, meta["num_classes"], cfg.task)
@@ -306,8 +312,11 @@ def load_checkpoint(path):
         if set(meta["param_names"]) != {name for name, _ in named}:
             raise ParseError(f"checkpoint {path} does not match the config's parameter set")
         for name, t in named:
-            if arrays[f"param.{name}"].shape != t.data.shape:
-                raise ParseError(f"checkpoint {path}: {name} has the wrong shape")
+            for key in (f"param.{name}", f"adam_m.{name}", f"adam_v.{name}"):
+                a = arrays[key]
+                if a.shape != t.data.shape or a.dtype != t.data.dtype:
+                    raise ParseError(f"checkpoint {path}: {key} is {a.dtype} {a.shape}, "
+                                     f"expected {t.data.dtype} {t.data.shape}")
             t.data = arrays[f"param.{name}"]
         adam = AdamState(m=[arrays[f"adam_m.{name}"] for name, _ in named],
                          v=[arrays[f"adam_v.{name}"] for name, _ in named],
@@ -386,7 +395,7 @@ def train(cfg, out_dir=None, resume=None, data=None):
         batch = [data.images[k] for k in order[lo:lo + cfg.batch_size]]
         x = _image_tensor(batch)
 
-        features = backbone.forward(x)
+        features = backbone.forward(x, head.stage + 1)
         out = head_forward(features, head)
         if cfg.task == "classification":
             labels = np.array([_class_label(im, cat_index) for im in batch])
@@ -439,6 +448,9 @@ def predict_detections(backbone, head, dataset, score_thresh=0.05, max_dets=100)
     """
     if head.task != "localization":
         raise InvalidParam("detection decoding needs a localization head")
+    if head.num_classes != len(dataset.categories):
+        raise InvalidParam(f"the head has {head.num_classes} classes but the dataset "
+                           f"has {len(dataset.categories)} categories")
     for im in dataset.images:
         if im.pixels is None:
             raise ParseError(f"image {im.id} has no pixels: file {im.file_name!r} "
@@ -451,7 +463,7 @@ def predict_detections(backbone, head, dataset, score_thresh=0.05, max_dets=100)
             run = list(run)
             for lo in range(0, len(run), PREDICT_CHUNK):
                 chunk = run[lo:lo + PREDICT_CHUNK]
-                features = backbone.forward(_image_tensor(chunk))
+                features = backbone.forward(_image_tensor(chunk), head.stage + 1)
                 raw = head_forward(features, head)
                 grid_hw = features[head.stage].shape[-2:]
                 for im, rows in zip(chunk, raw.data):

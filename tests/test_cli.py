@@ -14,7 +14,7 @@ from railswin.cli import main
 from railswin.config import to_dict
 from railswin.data.coco import load_coco, save_dataset
 from railswin.swin import nano_config
-from railswin.synth import SyntheticSpec, generate_synthetic
+from railswin.synth import DEFECT_KINDS, SyntheticSpec, generate_synthetic
 from railswin.train import TrainConfig
 
 
@@ -98,9 +98,10 @@ def test_preprocess_ids_unique_across_splits(workspace):
     '{"train": {"dark-blob": "12"}}',
     '{"train": {"dark-blob": 2.7}}',
     '{"train": {"dark-blob": true}}',
+    '{"trian": {"dark-blob": 12}}',
 ], ids=["missing-file", "truncated", "fraction-str", "fraction-nan", "fraction-list",
         "count-str", "count-inf", "count-null", "side-list", "fraction-str-number",
-        "fraction-bool", "count-str-digit", "count-fraction", "count-bool"])
+        "fraction-bool", "count-str-digit", "count-fraction", "count-bool", "side-typo"])
 def test_preprocess_rejects_bad_targets_file(workspace, capsys, content):
     tmp, ann, _ = workspace
     targets = tmp / "targets.json"
@@ -157,14 +158,19 @@ def test_eval_needs_a_source(workspace):
     assert main(["eval", "--dataset", str(ann), "--out", str(tmp / "e2")]) == 1
 
 
-def test_eval_with_localization_checkpoint(workspace):
-    tmp, ann, cfg_path = workspace
+def _localization_checkpoint(tmp, cfg_path):
+    """Train the workspace config with the localization head; its checkpoint path."""
     cfg = json.loads(cfg_path.read_text())
     cfg["task"] = "localization"
     loc_path = tmp / "loc.json"
     loc_path.write_text(json.dumps(cfg))
     assert main(["train", "--config", str(loc_path), "--out", str(tmp / "tl")]) == 0
-    rc = main(["eval", "--checkpoint", str(tmp / "tl" / "checkpoint.npz"),
+    return tmp / "tl" / "checkpoint.npz"
+
+
+def test_eval_with_localization_checkpoint(workspace):
+    tmp, ann, cfg_path = workspace
+    rc = main(["eval", "--checkpoint", str(_localization_checkpoint(tmp, cfg_path)),
                "--dataset", str(ann), "--out", str(tmp / "el")])
     assert rc == 0
     assert (tmp / "el" / "metrics.json").exists()
@@ -172,17 +178,29 @@ def test_eval_with_localization_checkpoint(workspace):
 
 def test_eval_checkpoint_rejects_missing_image_file(workspace, capsys):
     tmp, ann, cfg_path = workspace
-    cfg = json.loads(cfg_path.read_text())
-    cfg["task"] = "localization"
-    loc_path = tmp / "loc.json"
-    loc_path.write_text(json.dumps(cfg))
-    assert main(["train", "--config", str(loc_path), "--out", str(tmp / "tl")]) == 0
+    ckpt = _localization_checkpoint(tmp, cfg_path)
     capsys.readouterr()
     sorted(Path(ann).parent.glob("*.pgm"))[3].unlink()
-    rc = main(["eval", "--checkpoint", str(tmp / "tl" / "checkpoint.npz"),
+    rc = main(["eval", "--checkpoint", str(ckpt),
                "--dataset", str(ann), "--out", str(tmp / "el")])
     assert rc == 1
     assert_one_error_line(capsys.readouterr().err)
+    assert not (tmp / "el").exists()
+
+
+def test_eval_checkpoint_rejects_dataset_with_other_category_count(workspace, capsys):
+    tmp, _, cfg_path = workspace
+    ckpt = _localization_checkpoint(tmp, cfg_path)
+    capsys.readouterr()
+    two = generate_synthetic(SyntheticSpec(num_images=6, seed=5,
+                                           categories=DEFECT_KINDS[:2]))
+    ann = save_dataset(two, tmp / "two")
+    rc = main(["eval", "--checkpoint", str(ckpt),
+               "--dataset", str(ann), "--out", str(tmp / "el")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "4 classes" in err and "2 categories" in err
     assert not (tmp / "el").exists()
 
 
@@ -384,6 +402,41 @@ def test_train_rejects_garbage_resume(workspace, capsys):
                  "--resume", str(garbage)]) == 1
     assert_one_error_line(capsys.readouterr().err)
     assert not (tmp / "g" / "checkpoint.npz").exists()
+
+
+@pytest.mark.parametrize("entry, edit", [
+    ("adam_m.head.w", lambda a: np.zeros(3)),
+    ("adam_v.head.w", lambda a: a.astype(np.int64)),
+    ("iteration", lambda v: "1"),
+    ("adam_t", lambda v: -1),
+    ("num_classes", str),
+    (None, lambda meta: [1, 2]),  # the whole meta entry
+], ids=["moment-shape", "moment-dtype", "iteration-str", "adam-t-negative",
+        "num-classes-str", "meta-list"])
+def test_train_rejects_malformed_resume(workspace, capsys, entry, edit):
+    tmp, _, cfg_path = workspace
+    short = json.loads(cfg_path.read_text())
+    short["max_iterations"] = 1
+    short_path = tmp / "short.json"
+    short_path.write_text(json.dumps(short))
+    assert main(["train", "--config", str(short_path), "--out", str(tmp / "r1")]) == 0
+    capsys.readouterr()
+    with np.load(tmp / "r1" / "checkpoint.npz") as blob:
+        arrays = dict(blob)
+    meta = json.loads(str(arrays["meta"]))
+    if entry is None:
+        meta = edit(meta)
+    elif entry in arrays:
+        arrays[entry] = edit(arrays[entry])
+    else:
+        meta[entry] = edit(meta[entry])
+    arrays["meta"] = np.array(json.dumps(meta))
+    bad = tmp / "bad.npz"
+    np.savez(bad, **arrays)
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp / "r2"),
+                 "--resume", str(bad)]) == 1
+    assert_one_error_line(capsys.readouterr().err)
+    assert not (tmp / "r2" / "checkpoint.npz").exists()
 
 
 # JSON kinds each train-config field accepts; the property below feeds it any other

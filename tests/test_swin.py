@@ -436,6 +436,18 @@ class TestBackbone:
                 model.forward(img)
             assert len(refine_calls) == want
 
+    @pytest.mark.parametrize("placement", [CbamPlacement.NONE, CbamPlacement.BLOCK])
+    def test_stage_limit_returns_the_first_maps(self, placement):
+        model = SwinBackbone(nano_config(placement=placement), in_channels=1)
+        img = Tensor(rng(9).normal(size=(2, 1, 32, 32)))
+        full = model.forward(img)
+        assert len(full) == 4
+        for k in range(1, 5):
+            feats = model.forward(img, k)
+            assert len(feats) == k
+            for f, g in zip(feats, full):
+                assert f.shape == g.shape and np.array_equal(f.data, g.data)
+
     def test_micro_param_budget_and_end_to_end_grad(self):
         cfg = micro_config(placement=CbamPlacement.BLOCK)
         params = init_backbone_params(cfg, in_channels=1)

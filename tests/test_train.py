@@ -97,6 +97,13 @@ class TestConfig:
         with pytest.raises(ParseError):
             from_dict(TrainConfig, doc)
 
+    def test_str_keyed_dict(self):
+        assert from_dict(dict[str, int], {"a": 1, "b": 2}) == {"a": 1, "b": 2}
+        with pytest.raises(ParseError, match=r"^config\.b: expected int, got \"2\"$"):
+            from_dict(dict[str, int], {"a": 1, "b": "2"})
+        with pytest.raises(ParseError, match="expected object"):
+            from_dict(dict[str, int], [1])
+
     def test_validation(self):
         swin = nano_config()
         with pytest.raises(InvalidParam):
@@ -278,6 +285,14 @@ class TestCbamCounter:
             refine_calls.clear()
             train(quick_cfg(iters=1, placement=placement))
             # one batched forward pass: one application per gate
+            assert len(refine_calls) == want
+
+    def test_localization_iteration_skips_stage_4_gates(self, refine_calls):
+        # the head reads the stage-3 map, so stage 4's gates never run
+        expected = {CbamPlacement.MODEL: 1, CbamPlacement.STAGE: 3, CbamPlacement.BLOCK: 6}
+        for placement, want in expected.items():
+            refine_calls.clear()
+            train(quick_cfg(task="localization", iters=1, placement=placement))
             assert len(refine_calls) == want
 
 

@@ -279,4 +279,4 @@ class TestTapeSize:
         assert nodes_per_iteration(monkeypatch, CbamPlacement.NONE, "classification") == 129
 
     def test_nano_block_localization_iteration(self, monkeypatch):
-        assert nodes_per_iteration(monkeypatch, CbamPlacement.BLOCK, "localization") == 235
+        assert nodes_per_iteration(monkeypatch, CbamPlacement.BLOCK, "localization") == 175
