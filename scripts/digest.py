@@ -19,13 +19,22 @@ initialised backbone on a fixed seeded batch.
 Arrays enter a digest in checkpoint order, each with its name, dtype and
 shape.  Then ``run_ablation`` runs every placement, and each row of its
 CSV, without the ``iter_time_*`` columns, is printed with its digest.
+
+Last, one fixed nano session of the ``railswin`` command (``stats``,
+``preprocess --enhance cet``, a localization ``train`` on the preprocessed
+train split, then ``eval --dets`` and ``eval --checkpoint`` on the val
+split) prints a ``cli`` line per text artifact it writes, with the sha256
+of the file's bytes.  ``timing.csv`` is left out: it holds wall times.
+
 BLAS runs single-threaded.  Point PYTHONPATH at another checkout's ``src``
 and diff the two outputs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -36,6 +45,9 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
+from railswin.cli import main as cli  # noqa: E402
+from railswin.config import to_dict  # noqa: E402
+from railswin.data.coco import save_dataset  # noqa: E402
 from railswin.metrics import evaluate, report_to_dict  # noqa: E402
 from railswin.swin import CbamPlacement, SwinBackbone, nano_config  # noqa: E402
 from railswin.synth import SyntheticSpec, generate_synthetic  # noqa: E402
@@ -112,6 +124,49 @@ def digest_maps(placement):
     print(f"{placement.value}/backbone maps {sha(len(maps), *parts)}")
 
 
+def run_cli(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli([str(a) for a in argv])
+    if rc != 0:
+        raise SystemExit(f"railswin {' '.join(map(str, argv))} exited {rc}")
+
+
+def digest_cli(workdir):
+    def path(*parts):
+        return os.path.join(workdir, *parts)
+
+    data = generate_synthetic(SyntheticSpec(num_images=TRAIN_IMAGES, seed=SEED,
+                                            instances_per_image=(1, 2)))
+    ann = save_dataset(data, path("data"))
+    with open(path("targets.json"), "w") as fh:
+        json.dump({"fraction": 0.75, "train": {"dark-blob": 16}, "val": {"scratch-line": 6}}, fh)
+    cfg = replace(config(CbamPlacement.BLOCK, "localization"),
+                  dataset=path("prep", "train", "annotations.json"), max_iterations=8)
+    with open(path("cfg.json"), "w") as fh:
+        json.dump(to_dict(cfg), fh)
+    val = path("prep", "val", "annotations.json")
+    run_cli("stats", ann, "--out", path("stats"))
+    run_cli("preprocess", ann, "--enhance", "cet", "--augment-plan", path("targets.json"),
+            "--seed", SEED, "--out", path("prep"))
+    with open(val) as fh:
+        dets = [{"image_id": a["image_id"], "category_id": a["category_id"],
+                 "bbox": [v + 1 for v in a["bbox"]], "score": 1.0 / (1 + a["id"] % 7)}
+                for a in json.load(fh)["annotations"]]
+    with open(path("dets.json"), "w") as fh:
+        json.dump(dets, fh)
+    run_cli("train", "--config", path("cfg.json"), "--out", path("train"))
+    run_cli("eval", "--dets", path("dets.json"), "--dataset", val, "--out", path("eval-dets"))
+    run_cli("eval", "--checkpoint", path("train", "checkpoint.npz"), "--dataset", val,
+            "--out", path("eval-ckpt"))
+    names = ["stats/stats.csv", "prep/plan.json", "prep/train/annotations.json",
+             "prep/val/annotations.json", "train/loss_curve.csv"]
+    names += [f"{run}/{name}" for run in ("eval-dets", "eval-ckpt")
+              for name in ("metrics.json", "metrics.csv", "size_ordered.csv")]
+    for name in names:
+        with open(path(name), "rb") as fh:
+            print(f"cli {name} {sha(fh.read())}")
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         for placement in CbamPlacement:
@@ -125,6 +180,8 @@ def main():
     for row in rows:
         cells = ",".join(row.split(",")[i] for i in keep)
         print(f"ablation {sha(cells)} {cells}")
+    with tempfile.TemporaryDirectory() as tmp:
+        digest_cli(tmp)
 
 
 if __name__ == "__main__":

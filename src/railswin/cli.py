@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .atomic import atomic_open
 from .cbam import ChannelAttentionParams, channel_attention_map
 from .config import from_dict
 from .data.coco import load_coco, save_dataset
@@ -25,10 +24,12 @@ from .data.enhance import METHODS, enhance
 from .data.planner import plan_and_execute_augmentation, split_train_val
 from .data.stats import category_stats, stats_to_csv
 from .errors import InvalidParam, ParseError, RailswinError
+from .files import read_json, write_json, write_text
 from .metrics import evaluate, load_detections, report_to_csv, report_to_dict, size_ordered_report
 from .tensor import Tensor, grad_check
 from .train import (
     bench,
+    check_categories,
     load_checkpoint,
     load_train_config,
     predict_detections,
@@ -45,13 +46,10 @@ def _ensure_out(args):
 
 def cmd_stats(args):
     data = load_coco(args.annotations, load_pixels=False)
-    stats = category_stats(data)
-    csv_text = stats_to_csv(stats)
-    print(csv_text, end="")
+    text = stats_to_csv(category_stats(data))
+    print(text, end="")
     if args.out:
-        out = _ensure_out(args)
-        with atomic_open(os.path.join(out, "stats.csv")) as fh:
-            fh.write(csv_text)
+        write_text(os.path.join(_ensure_out(args), "stats.csv"), text)
     return 0
 
 
@@ -82,12 +80,7 @@ def _load_targets(path, categories):
     An unreadable file or a malformed document is a ParseError; an unknown
     category name is an InvalidParam.
     """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as e:
-        raise ParseError(f"cannot read augment targets {path}: {e}") from e
-    targets = from_dict(AugmentTargets, doc, "augment targets")
+    targets = from_dict(AugmentTargets, read_json(path, "augment targets"), "augment targets")
     by_name = {name: cid for cid, name in categories.items()}
 
     def resolve(side):
@@ -125,10 +118,8 @@ def cmd_preprocess(args):
         save_dataset(augmented, os.path.join(out, name))
         print(f"{name}: {len(augmented.images)} images "
               f"({len(plan.records)} synthesized)")
-    with atomic_open(os.path.join(out, "plan.json")) as fh:
-        fh.write(json.dumps({name: json.loads(p.to_json()) for name, p in plans.items()},
-                            indent=1, sort_keys=True))
-        fh.write("\n")
+    write_json(os.path.join(out, "plan.json"),
+               {name: json.loads(p.to_json()) for name, p in plans.items()})
     return 0
 
 
@@ -155,22 +146,18 @@ def cmd_eval(args):
     if args.dets:
         dets = load_detections(args.dets)
     elif args.checkpoint:
-        _, backbone, head, _, _ = load_checkpoint(args.checkpoint)
+        _, backbone, head, _, meta = load_checkpoint(args.checkpoint)
+        check_categories(meta, data)
         dets = predict_detections(backbone, head, data)
     else:
         raise InvalidParam("eval needs --dets or --checkpoint")
     report = evaluate(dets, data)
     out = _ensure_out(args)
-    with atomic_open(os.path.join(out, "metrics.json")) as fh:
-        json.dump(report_to_dict(report), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    with atomic_open(os.path.join(out, "metrics.csv")) as fh:
-        fh.write(report_to_csv(report))
-    stats = category_stats(data)
+    write_json(os.path.join(out, "metrics.json"), report_to_dict(report))
+    write_text(os.path.join(out, "metrics.csv"), report_to_csv(report))
     try:
-        _, csv_text = size_ordered_report(report, stats)
-        with atomic_open(os.path.join(out, "size_ordered.csv")) as fh:
-            fh.write(csv_text)
+        _, text = size_ordered_report(report, category_stats(data))
+        write_text(os.path.join(out, "size_ordered.csv"), text)
     except RailswinError as e:
         print(f"size-ordered report skipped: {e}", file=sys.stderr)
     print(f"mAP.50 {report.map50:.4f}  mAP.75 {report.map75:.4f}  AR@100 {report.mar100:.4f}")
@@ -210,21 +197,15 @@ def cmd_gradcheck(args):
 
 
 def cmd_ablate(args):
-    cfg = load_train_config(args.config)
-    result = run_ablation(cfg, seeds=args.seeds)
-    out = _ensure_out(args)
-    with atomic_open(os.path.join(out, "ablation.csv")) as fh:
-        fh.write(result.to_csv())
-    print(result.to_csv(), end="")
+    text = run_ablation(load_train_config(args.config), seeds=args.seeds).to_csv()
+    write_text(os.path.join(_ensure_out(args), "ablation.csv"), text)
+    print(text, end="")
     return 0
 
 
 def cmd_bench(args):
-    cfg = load_train_config(args.config)
-    timing = bench(cfg, args.iters)
-    out = _ensure_out(args)
-    with atomic_open(os.path.join(out, "timing.csv")) as fh:
-        fh.write(timing.to_csv())
+    timing = bench(load_train_config(args.config), args.iters)
+    write_text(os.path.join(_ensure_out(args), "timing.csv"), timing.to_csv())
     print(f"{timing.mean():.4f}s ± {timing.std():.4f}s per iteration "
           f"({len(timing.retained())} measured after {timing.warmup} warmup)")
     return 0

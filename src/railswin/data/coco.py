@@ -8,13 +8,13 @@ formats are expected to arrive as already-decoded arrays).
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import DanglingReference, InvalidParam, ParseError
+from ..files import read_json, write_json
 from .boxes import BBox
 from .imageio import read_pnm, write_pnm
 
@@ -57,11 +57,7 @@ def load_coco(path, load_pixels=True):
     Annotations referencing unknown image or category ids raise
     DanglingReference; structural problems raise ParseError.
     """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as e:  # ValueError: bad JSON or bad UTF-8
-        raise ParseError(f"cannot read {path}: {e}") from e
+    doc = read_json(path, "annotations")
     return parse_coco(doc, base_dir=os.path.dirname(os.fspath(path)), load_pixels=load_pixels)
 
 
@@ -75,9 +71,12 @@ def parse_coco(doc, base_dir="", load_pixels=False):
     categories = {}
     for cat in doc["categories"]:
         try:
-            categories[int(cat["id"])] = str(cat.get("name", cat["id"]))
+            cid, name = int(cat["id"]), str(cat.get("name", cat["id"]))
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ParseError(f"bad category entry {cat!r}") from e
+        if cid < 0:  # a checkpoint records its category ids as non-negative integers
+            raise ParseError(f"bad category entry {cat!r}: negative id")
+        categories[cid] = name
 
     images = {}
     for im in doc["images"]:
@@ -87,6 +86,9 @@ def parse_coco(doc, base_dir="", load_pixels=False):
                                  file_name=im.get("file_name"))
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ParseError(f"bad image entry {im!r}") from e
+        if not isinstance(rec.file_name, (str, type(None))) or min(rec.width, rec.height) < 1:
+            raise ParseError(f"bad image entry {im!r}: needs a positive width and height, "
+                             "and a string file_name if any")
         if rec.id in images:
             raise ParseError(f"duplicate image id {rec.id}")
         if load_pixels and rec.file_name:
@@ -142,7 +144,5 @@ def save_dataset(dataset, out_dir):
         if im.pixels is not None:
             write_pnm(os.path.join(out_dir, im.file_name), im.pixels)
     path = os.path.join(out_dir, "annotations.json")
-    with open(path, "w") as fh:
-        json.dump(dataset_to_coco(dataset), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, dataset_to_coco(dataset))
     return path

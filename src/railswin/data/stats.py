@@ -12,11 +12,11 @@ one here.
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass
 
 from ..errors import InvalidParam
+from ..files import csv_text
 
 SMALL_SIZE_RATIO = 0.02
 
@@ -81,9 +81,6 @@ def category_stats(dataset):
 
 
 def stats_to_csv(stats):
-    buf = io.StringIO()
-    buf.write(",".join(STATS_CSV_COLUMNS) + "\n")
-    for s in stats:
-        buf.write(f"{s.name},{s.instance_count},{s.mean_w!r},{s.mean_h!r},"
-                  f"{s.mean_area_px!r},{s.mean_size_ratio!r},{s.size_class}\n")
-    return buf.getvalue()
+    return csv_text(STATS_CSV_COLUMNS,
+                    [(s.name, s.instance_count, s.mean_w, s.mean_h, s.mean_area_px,
+                      s.mean_size_ratio, s.size_class) for s in stats])

@@ -14,14 +14,13 @@ Conventions (the usual COCO ones):
 
 from __future__ import annotations
 
-import io
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data.boxes import BBox
 from .errors import InvalidParam, MissingStats, ParseError
+from .files import csv_text, read_json
 
 RECALL_GRID = np.linspace(0.0, 1.0, 101)
 
@@ -224,20 +223,13 @@ def size_ordered_report(report, stats):
                                 ap50=pc.ap50, ap75=pc.ap75, ar100=pc.ar100,
                                 mean_size_ratio=by_id[pc.category_id].mean_size_ratio))
     rows.sort(key=lambda r: -r.mean_size_ratio)
-    buf = io.StringIO()
-    buf.write("category,size_ratio,ap50,ap75,ar100\n")
-    for r in rows:
-        buf.write(f"{r.name},{r.mean_size_ratio!r},{r.ap50!r},{r.ap75!r},{r.ar100!r}\n")
-    return rows, buf.getvalue()
+    return rows, csv_text(("category", "size_ratio", "ap50", "ap75", "ar100"),
+                          [(r.name, r.mean_size_ratio, r.ap50, r.ap75, r.ar100) for r in rows])
 
 
 def load_detections(path):
     """Read a COCO-results-style JSON list of detections."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as e:
-        raise ParseError(f"cannot read detections {path}: {e}") from e
+    doc = read_json(path, "detections")
     if not isinstance(doc, list):
         raise ParseError("detections document must be a JSON list")
     out = []
@@ -267,9 +259,6 @@ def report_to_dict(report):
 
 
 def report_to_csv(report):
-    buf = io.StringIO()
-    buf.write("category,ap50,ap75,ar100\n")
-    for pc in report.per_category:
-        buf.write(f"{pc.name},{pc.ap50!r},{pc.ap75!r},{pc.ar100!r}\n")
-    buf.write(f"mean,{report.map50!r},{report.map75!r},{report.mar100!r}\n")
-    return buf.getvalue()
+    rows = [(pc.name, pc.ap50, pc.ap75, pc.ar100) for pc in report.per_category]
+    rows.append(("mean", report.map50, report.map75, report.mar100))
+    return csv_text(("category", "ap50", "ap75", "ar100"), rows)

@@ -12,11 +12,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
-from .atomic import atomic_open
 from .config import from_dict, to_dict
 from .data.coco import Dataset, load_coco
 from .data.stats import category_stats
 from .errors import DatasetEmpty, InvalidParam, NonFiniteLoss, ParseError, ShapeMismatch
+from .files import atomic_open, csv_text, read_json, write_text
 from .metrics import Detection, evaluate
 from .data.boxes import BBox
 from .optim import AdamState, adamw_step
@@ -68,12 +68,7 @@ class TrainConfig:
 
 
 def load_train_config(path):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as e:
-        raise ParseError(f"cannot read train config {path}: {e}") from e
-    return from_dict(TrainConfig, doc)
+    return from_dict(TrainConfig, read_json(path, "train config"))
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +105,7 @@ def head_forward(features, head):
     if f.shape[-3] != head.w.shape[1]:
         raise ShapeMismatch(f"head dim {head.w.shape[1]} != feature dim {f.shape[-3]}")
     if head.task == "classification":
-        pooled = T.pool_spatial(f, "avg")
-        vec = T.reshape(pooled, pooled.shape[:-2])
-        return T.linear(vec, head.w, head.b)
+        return T.linear(T.tmean(f, axis=(-2, -1)), head.w, head.b)
     h, w = f.shape[-2], f.shape[-1]
     n = f.ndim - 3
     grid = T.transpose(f, tuple(range(n)) + (n + 1, n + 2, n))  # [..., h, w, D]
@@ -220,9 +213,7 @@ class IterTimingLog:
         return _std(self.retained())
 
     def to_csv(self):
-        lines = ["iteration,seconds"]
-        lines += [f"{i + 1},{s!r}" for i, s in enumerate(self.seconds)]
-        return "\n".join(lines) + "\n"
+        return csv_text(("iteration", "seconds"), enumerate(self.seconds, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +258,8 @@ def _class_label(image, cat_index):
 # checkpointing
 
 
-def save_checkpoint(path, cfg, backbone, head, adam_state, iteration):
-    """Write the resume state to ``path``; an interrupted write leaves it as it was."""
+def save_checkpoint(path, cfg, backbone, head, adam_state, iteration, category_ids):
+    """Write the resume state to ``path`` atomically; class k is the sorted ``category_ids[k]``."""
     named = backbone.named_parameters() + head.named_parameters()
     arrays = {f"param.{name}": t.data for name, t in named}
     for (name, _), m, v in zip(named, adam_state.m, adam_state.v):
@@ -280,6 +271,7 @@ def save_checkpoint(path, cfg, backbone, head, adam_state, iteration):
         "adam_t": adam_state.t,
         "in_channels": backbone.in_channels,
         "num_classes": head.num_classes,
+        "category_ids": list(category_ids),
         "param_names": [name for name, _ in named],
     }
     with atomic_open(path, "wb") as fh:
@@ -305,6 +297,11 @@ def load_checkpoint(path):
             if type(meta[key]) is not int or meta[key] < 0:
                 raise ParseError(f"checkpoint {path}: {key} must be a non-negative integer, "
                                  f"got {json.dumps(meta[key])}")
+        ids = meta["category_ids"]
+        if (not isinstance(ids, list) or len(ids) != meta["num_classes"]
+                or any(type(c) is not int or c < 0 for c in ids) or len(set(ids)) != len(ids)):
+            raise ParseError(f"checkpoint {path}: category_ids must be {meta['num_classes']} "
+                             f"distinct non-negative integers, got {json.dumps(ids)}")
         cfg = from_dict(TrainConfig, meta["config"])
         backbone = SwinBackbone(cfg.swin, in_channels=meta["in_channels"])
         head = init_head_params(cfg.swin, meta["num_classes"], cfg.task)
@@ -326,6 +323,14 @@ def load_checkpoint(path):
     return cfg, backbone, head, adam, meta
 
 
+def check_categories(meta, dataset):
+    """InvalidParam unless ``dataset`` has the category ids the checkpoint was trained on."""
+    ids = sorted(dataset.categories)
+    if ids != meta["category_ids"]:
+        raise InvalidParam(f"the checkpoint has {meta['num_classes']} classes, category ids "
+                           f"{meta['category_ids']}; the dataset {len(ids)} categories, ids {ids}")
+
+
 # ---------------------------------------------------------------------------
 # the loop
 
@@ -341,9 +346,7 @@ class TrainResult:
     checkpoint_path: str | None = None
 
     def loss_curve_csv(self):
-        lines = ["iteration,loss"]
-        lines += [f"{i + 1},{v!r}" for i, v in enumerate(self.losses)]
-        return "\n".join(lines) + "\n"
+        return csv_text(("iteration", "loss"), enumerate(self.losses, 1))
 
 
 def train(cfg, out_dir=None, resume=None, data=None):
@@ -365,6 +368,7 @@ def train(cfg, out_dir=None, resume=None, data=None):
         cfg_ck, backbone, head, adam_state, meta = load_checkpoint(resume)
         if cfg_ck.swin != cfg.swin:
             raise InvalidParam("resume checkpoint was built for a different backbone config")
+        check_categories(meta, data)
         start_iteration = meta["iteration"]
     else:
         backbone = SwinBackbone(cfg.swin, in_channels=in_channels)
@@ -420,16 +424,13 @@ def train(cfg, out_dir=None, resume=None, data=None):
                          data=data, cat_index=cat_index)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        with atomic_open(os.path.join(out_dir, "loss_curve.csv")) as fh:
-            fh.write(result.loss_curve_csv())
-        with atomic_open(os.path.join(out_dir, "timing.csv")) as fh:
-            fh.write(timing.to_csv())
+        write_text(os.path.join(out_dir, "loss_curve.csv"), result.loss_curve_csv())
+        write_text(os.path.join(out_dir, "timing.csv"), timing.to_csv())
         ckpt = os.path.join(out_dir, "checkpoint.npz")
-        save_checkpoint(ckpt, cfg, backbone, head, adam_state, iteration)
+        save_checkpoint(ckpt, cfg, backbone, head, adam_state, iteration, cat_ids)
         result.checkpoint_path = ckpt
     if cfg.timing_log_path:
-        with atomic_open(cfg.timing_log_path) as fh:
-            fh.write(timing.to_csv())
+        write_text(cfg.timing_log_path, timing.to_csv())
     return result
 
 
@@ -499,17 +500,8 @@ class AblationResult:
     summary: list  # one dict per variant, ABLATION_CSV_COLUMNS keys
 
     def to_csv(self):
-        lines = [",".join(ABLATION_CSV_COLUMNS)]
-        for row in self.summary:
-            lines.append(",".join(_cell(row[c]) for c in ABLATION_CSV_COLUMNS))
-        return "\n".join(lines) + "\n"
-
-
-def _cell(value):
-    """A CSV cell; None, a value with nothing measured behind it, is empty."""
-    if value is None:
-        return ""
-    return repr(value) if isinstance(value, float) else str(value)
+        return csv_text(ABLATION_CSV_COLUMNS,
+                        ([row[c] for c in ABLATION_CSV_COLUMNS] for row in self.summary))
 
 
 def run_ablation(base_cfg, variants=tuple(CbamPlacement), seeds=(0,), val_images=60):

@@ -204,6 +204,45 @@ def test_eval_checkpoint_rejects_dataset_with_other_category_count(workspace, ca
     assert not (tmp / "el").exists()
 
 
+def renumbered(ann, offset):
+    """A copy of a COCO file, next to its images, with every category id moved by ``offset``."""
+    doc = json.loads(Path(ann).read_text())
+    for cat in doc["categories"]:
+        cat["id"] += offset
+    for a in doc["annotations"]:
+        a["category_id"] += offset
+    path = Path(ann).parent / "renumbered.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_eval_checkpoint_rejects_dataset_with_other_category_ids(workspace, capsys):
+    tmp, ann, cfg_path = workspace
+    ckpt = _localization_checkpoint(tmp, cfg_path)
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(ckpt),
+               "--dataset", str(renumbered(ann, 10)), "--out", str(tmp / "el")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "[1, 2, 3, 4]" in err and "[11, 12, 13, 14]" in err
+    assert not (tmp / "el").exists()
+
+
+def test_train_resume_rejects_dataset_with_other_category_ids(workspace, capsys):
+    tmp, ann, cfg_path = workspace
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp / "r1")]) == 0
+    doc = json.loads(cfg_path.read_text())
+    doc["dataset"] = str(renumbered(ann, 10))
+    other = tmp / "other.json"
+    other.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["train", "--config", str(other), "--out", str(tmp / "r2"),
+                 "--resume", str(tmp / "r1" / "checkpoint.npz")]) == 1
+    assert_one_error_line(capsys.readouterr().err)
+    assert list((tmp / "r2").iterdir()) == []
+
+
 def test_gradcheck_command(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
@@ -411,8 +450,14 @@ def test_train_rejects_garbage_resume(workspace, capsys):
     ("adam_t", lambda v: -1),
     ("num_classes", str),
     (None, lambda meta: [1, 2]),  # the whole meta entry
+    ("category_ids", lambda ids: ids[:-1]),
+    ("category_ids", lambda ids: [ids[0]] * len(ids)),
+    ("category_ids", lambda ids: [-1] + ids[1:]),
+    ("category_ids", lambda ids: [str(c) for c in ids]),
+    (None, lambda meta: {k: v for k, v in meta.items() if k != "category_ids"}),
 ], ids=["moment-shape", "moment-dtype", "iteration-str", "adam-t-negative",
-        "num-classes-str", "meta-list"])
+        "num-classes-str", "meta-list", "category-ids-short", "category-ids-repeated",
+        "category-ids-negative", "category-ids-str", "no-category-ids"])
 def test_train_rejects_malformed_resume(workspace, capsys, entry, edit):
     tmp, _, cfg_path = workspace
     short = json.loads(cfg_path.read_text())
@@ -483,6 +528,120 @@ def test_wrong_json_type_exits_1_with_one_line(tmp_path_factory, path, value):
     assert rc == 1
     assert_one_error_line(err.getvalue())
     assert not (tmp / "out").exists()
+
+
+# JSON kinds each field of the other input documents accepts, "absent" when the key
+# may be missing; a numeric field takes anything int() or float() converts
+NUMBER = {"int", "float", "bool", "str"}
+DOCUMENT_KINDS = {
+    "coco": {
+        (): {"object", "absent"},  # an empty file is a cut
+        ("images",): {"list"},
+        ("annotations",): {"list"},
+        ("categories",): {"list"},
+        ("images", 0): {"object", "absent"},
+        ("images", 0, "id"): NUMBER,
+        ("images", 0, "width"): NUMBER,
+        ("images", 0, "height"): NUMBER,
+        ("images", 0, "file_name"): {"str", "null", "absent"},
+        ("annotations", 0): {"object", "absent"},
+        ("annotations", 0, "image_id"): NUMBER,
+        ("annotations", 0, "category_id"): NUMBER,
+        ("annotations", 0, "bbox"): {"list", "str", "object"},
+        ("categories", 0): {"object", "absent"},
+        ("categories", 0, "id"): NUMBER,
+    },
+    "dets": {
+        (): {"list", "absent"},
+        (0,): {"object", "absent"},
+        (0, "image_id"): NUMBER,
+        (0, "category_id"): NUMBER,
+        (0, "bbox"): {"list", "str", "object"},
+        (0, "score"): NUMBER,
+    },
+    "targets": {
+        (): {"object", "absent"},
+        ("fraction",): {"int", "float", "absent"},
+        ("train",): {"object", "absent"},
+        ("val",): {"object", "absent"},
+        ("train", "dark-blob"): {"int", "absent"},
+    },
+}
+# (command, the document it reads that gets mutated)
+DOCUMENT_READERS = [("eval", "coco"), ("preprocess", "coco"), ("eval", "dets"),
+                    ("preprocess", "targets")]
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """A four-image dataset on disk and one valid document of each kind."""
+    root = tmp_path_factory.mktemp("documents")
+    ann = save_dataset(generate_synthetic(SyntheticSpec(num_images=4, seed=3)), root)
+    valid = {
+        "coco": json.loads(Path(ann).read_text()),
+        "dets": [{"image_id": 1, "category_id": 1, "bbox": [1, 1, 5, 5], "score": 0.7}],
+        "targets": {"fraction": 0.5, "train": {"dark-blob": 2}, "val": {}},
+    }
+    for name, doc in valid.items():
+        (root / f"{name}.json").write_text(json.dumps(doc))
+    return root, valid
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_malformed_document_exits_with_one_line(documents, tmp_path_factory, data):
+    """A mutated COCO, detections or augment-targets file: exit 1 or 2, one stderr line,
+    nothing written.  A mutation is a value of a kind its field rejects, a missing
+    required key, or the text cut short."""
+    root, valid = documents
+    command, kind = data.draw(st.sampled_from(DOCUMENT_READERS))
+    text = json.dumps(valid[kind])
+    if data.draw(st.booleans(), label="cut"):
+        text = text[:data.draw(st.integers(0, len(text) - 1), label="at")]
+    else:
+        path = data.draw(st.sampled_from(list(DOCUMENT_KINDS[kind])), label="path")
+        value = data.draw(json_values | st.just(DELETE), label="value")
+        got = "absent" if value is DELETE else JSON_KINDS[type(value)]
+        assume(got not in DOCUMENT_KINDS[kind][path])
+        doc = json.loads(text)
+        if path:
+            edit(doc, path, value)
+        else:
+            doc = value
+        text = json.dumps(doc)
+    files = {name: root / f"{name}.json" for name in valid}
+    files[kind] = root / f"mutated-{kind}.json"  # next to the images: file names resolve
+    files[kind].write_text(text)
+    out = tmp_path_factory.mktemp("out")
+    if command == "eval":
+        argv = ["eval", "--dets", files["dets"], "--dataset", files["coco"]]
+    else:
+        argv = ["preprocess", files["coco"], "--augment-plan", files["targets"]]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main([str(a) for a in argv] + ["--out", str(out)])
+    lines = err.getvalue().splitlines()
+    assert rc in (1, 2), text
+    assert len(lines) == 1, err.getvalue()
+    assert lines[0].startswith("error: " if rc == 1 else "runtime failure: ")
+    assert list(out.iterdir()) == []
+
+
+def test_non_string_file_name_exits_1(workspace, capsys):
+    tmp, ann, _ = workspace
+    doc = json.loads(Path(ann).read_text())
+    doc["images"][0]["file_name"] = 5
+    bad = Path(ann).parent / "bad.json"
+    bad.write_text(json.dumps(doc))
+    dets = tmp / "dets.json"
+    dets.write_text(json.dumps([{"image_id": 1, "category_id": 1, "bbox": [1, 1, 5, 5],
+                                 "score": 0.7}]))
+    rc = main(["eval", "--dataset", str(bad), "--dets", str(dets), "--out", str(tmp / "e")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "bad image entry" in err and "file_name" in err
+    assert not (tmp / "e" / "metrics.json").exists()
 
 
 def test_eval_write_failing_partway_keeps_previous_artifacts(workspace, monkeypatch, capsys):

@@ -105,6 +105,21 @@ class TestCocoLoading:
         with pytest.raises(ParseError, match=f"bad {entry} entry"):
             parse_coco(json.loads(json.dumps(doc)))
 
+    @pytest.mark.parametrize("section,edit,entry", [
+        ("categories", lambda e: {**e, "id": -1}, "category"),
+        ("categories", lambda e: None, "category"),
+        ("images", lambda e: {**e, "file_name": 5}, "image"),
+        ("images", lambda e: {**e, "file_name": ["a.pgm"]}, "image"),
+        ("images", lambda e: {**e, "width": 0}, "image"),
+        ("images", lambda e: {**e, "height": -100}, "image"),
+    ], ids=["negative-category-id", "category-null", "file-name-int", "file-name-list",
+            "width-zero", "height-negative"])
+    def test_bad_entry_named(self, section, edit, entry):
+        doc = minimal_doc()
+        doc[section][0] = edit(doc[section][0])
+        with pytest.raises(ParseError, match=f"bad {entry} entry"):
+            parse_coco(doc)
+
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -200,6 +200,7 @@ class TestLoop:
             after = head_forward(backbone.forward(x), head).data
         assert np.array_equal(before, after)
         assert meta["iteration"] == 6
+        assert meta["category_ids"] == sorted(res.data.categories)
 
     def test_resume_reproduces_straight_run(self, tmp_path):
         full = train(quick_cfg(iters=8))
@@ -421,7 +422,7 @@ class TestPrediction:
 
 class TestAtomicArtifacts:
     def test_failed_write_keeps_previous_file_and_leaves_no_tmp(self, tmp_path):
-        from railswin.atomic import atomic_open
+        from railswin.files import atomic_open
 
         for mode, old, part in (("w", "a,b\n1,2\n", "a,b\n9"), ("wb", b"\x00old", b"\x01")):
             path = tmp_path / f"artifact{mode}"

@@ -276,7 +276,7 @@ def nodes_per_iteration(monkeypatch, placement, task):
 
 class TestTapeSize:
     def test_nano_none_iteration(self, monkeypatch):
-        assert nodes_per_iteration(monkeypatch, CbamPlacement.NONE, "classification") == 129
+        assert nodes_per_iteration(monkeypatch, CbamPlacement.NONE, "classification") == 128
 
     def test_nano_block_localization_iteration(self, monkeypatch):
         assert nodes_per_iteration(monkeypatch, CbamPlacement.BLOCK, "localization") == 175
