@@ -25,6 +25,8 @@ Last, one fixed nano session of the ``railswin`` command (``stats``,
 train split, then ``eval --dets`` and ``eval --checkpoint`` on the val
 split) prints a ``cli`` line per text artifact it writes, with the sha256
 of the file's bytes.  ``timing.csv`` is left out: it holds wall times.
+Each split that ``preprocess`` writes also gets an ``images`` line over
+its PGM/PPM files, name and bytes, in sorted name order.
 
 BLAS runs single-threaded.  Point PYTHONPATH at another checkout's ``src``
 and diff the two outputs.
@@ -165,6 +167,13 @@ def digest_cli(workdir):
     for name in names:
         with open(path(name), "rb") as fh:
             print(f"cli {name} {sha(fh.read())}")
+    for split in ("train", "val"):
+        parts = []
+        for name in sorted(os.listdir(path("prep", split))):
+            if name.endswith((".pgm", ".ppm")):
+                with open(path("prep", split, name), "rb") as fh:
+                    parts += [name, fh.read()]
+        print(f"cli prep/{split} images {len(parts) // 2} {sha(*parts)}")
 
 
 def main():

@@ -6,7 +6,9 @@ sums, and gates with a sigmoid.  The spatial module stacks channel-wise
 avg/max maps and convolves them with a single 7x7 filter before the
 sigmoid.  ``refine`` multiplies the feature map by one gate, and the
 gate's shape says which: [..., C, 1, 1] gates channels and [..., 1, H, W]
-gates pixels.  Each ``refine`` call is one attention application.
+gates pixels.  ``gate`` is the one entry point for an insertion point's
+parameters: a channel + spatial pair, or one gate alone.  It calls
+``refine`` once, so each ``refine`` call is one attention application.
 
 All ops accept an optional leading batch axis in front of [C, H, W].
 """
@@ -113,17 +115,6 @@ def refine(f, m):
     return f * m
 
 
-def cbam_apply(f, cam_params, sam_params):
-    """Full sequential attention pass: channel gate, then spatial gate.
-
-    The spatial map is computed from the channel-refined features, which
-    the spatial gate then multiplies in a single refine() call (one
-    attention application): the output is (f * m_c) * m_s.
-    """
-    refined_c = f * channel_attention_map(f, cam_params)
-    return refine(refined_c, spatial_attention_map(refined_c, sam_params))
-
-
 @dataclass
 class CbamParams:
     """Paired channel + spatial parameters for one insertion point."""
@@ -135,3 +126,18 @@ class CbamParams:
     def init(cls, channels, reduction, rng):
         return cls(cam=ChannelAttentionParams.init(channels, reduction, rng),
                    sam=SpatialAttentionParams.init(rng))
+
+
+def gate(f, params):
+    """Apply one insertion point's attention parameters to [..., C, H, W] features.
+
+    ``CbamParams`` run the channel gate, then the spatial gate on the refined
+    features, with one ``refine`` call: ``(f * m_c) * m_s``.  Channel or
+    spatial parameters alone run that one gate.
+    """
+    if isinstance(params, CbamParams):
+        f = f * channel_attention_map(f, params.cam)
+        return refine(f, spatial_attention_map(f, params.sam))
+    if isinstance(params, ChannelAttentionParams):
+        return refine(f, channel_attention_map(f, params))
+    return refine(f, spatial_attention_map(f, params))

@@ -78,7 +78,7 @@ def _load_targets(path, categories):
     """(fraction, train targets, val targets) from an augment-plan JSON file.
 
     An unreadable file or a malformed document is a ParseError; an unknown
-    category name is an InvalidParam.
+    category name or a negative count is an InvalidParam.
     """
     targets = from_dict(AugmentTargets, read_json(path, "augment targets"), "augment targets")
     by_name = {name: cid for cid, name in categories.items()}
@@ -86,6 +86,8 @@ def _load_targets(path, categories):
     def resolve(side):
         out = {}
         for key, count in side.items():
+            if count < 0:
+                raise InvalidParam(f"augment target {key!r} count must be >= 0, got {count}")
             if key in by_name:
                 out[by_name[key]] = count
             elif key.isdigit() and int(key) in categories:

@@ -48,10 +48,19 @@ def write_json(path, doc):
 
 
 def _cell(value):
-    """A float is its repr; None, a value with nothing measured behind it, is empty."""
+    """A float is its repr; None, a value with nothing measured behind it, is empty.
+
+    Text holding a comma, a quote or a line break is quoted, with inner
+    quotes doubled (RFC 4180); other text keeps its bytes.
+    """
     if value is None:
         return ""
-    return repr(value) if isinstance(value, float) else str(value)
+    if isinstance(value, float):
+        return repr(value)
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def csv_text(header, rows):

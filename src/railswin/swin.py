@@ -38,15 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .cbam import (
-    CbamParams,
-    ChannelAttentionParams,
-    SpatialAttentionParams,
-    cbam_apply,
-    channel_attention_map,
-    refine,
-    spatial_attention_map,
-)
+from .cbam import CbamParams, ChannelAttentionParams, SpatialAttentionParams, gate
 from .errors import IndivisibleInput, InvalidParam, ShapeMismatch
 from .tensor import Tensor
 
@@ -213,14 +205,13 @@ def _init_block(dim, num_heads, window, mlp_ratio, rng, cbam=None):
     )
 
 
-def init_backbone_params(cfg, in_channels=1, rng=None):
+def init_backbone_params(cfg, in_channels=1):
     """Build all parameters, deterministically from cfg.seed.
 
     The placement is decided here alone: the forward gates wherever gate
     parameters exist.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     p = cfg.patch_size
     patch_dim = in_channels * p * p
     embed_w = _xavier(rng, (cfg.embed_dim, patch_dim))
@@ -265,14 +256,15 @@ def init_backbone_params(cfg, in_channels=1, rng=None):
 # layout helpers
 
 
-def _grid_to_chw(grid):
+def _grid_to_map(grid):
     n = grid.ndim
     return T.transpose(grid, tuple(range(n - 3)) + (n - 1, n - 3, n - 2))
 
 
-def _chw_to_grid(chw):
-    n = chw.ndim
-    return T.transpose(chw, tuple(range(n - 3)) + (n - 2, n - 1, n - 3))
+def map_to_grid(f):
+    """[..., D, H, W] map -> [..., H, W, D] grid, undoing ``_grid_to_map``."""
+    n = f.ndim
+    return T.transpose(f, tuple(range(n - 3)) + (n - 2, n - 1, n - 3))
 
 
 def _partition(d, window, shift):
@@ -482,21 +474,13 @@ def window_msa(x, params, mask=None):
 
 
 def _gate(grid, params):
-    """Gate a [..., H, W, D] grid, seen as a [..., D, H, W] map, with ``params``.
+    """Gate a [..., H, W, D] grid, seen as a [..., D, H, W] map, with ``cbam.gate``.
 
-    ``None`` returns the grid unchanged; ``CbamParams`` run the channel then
-    the spatial gate; channel or spatial parameters alone run that one gate.
+    ``None`` returns the grid unchanged.
     """
     if params is None:
         return grid
-    chw = _grid_to_chw(grid)
-    if isinstance(params, CbamParams):
-        chw = cbam_apply(chw, params.cam, params.sam)
-    elif isinstance(params, ChannelAttentionParams):
-        chw = refine(chw, channel_attention_map(chw, params))
-    else:
-        chw = refine(chw, spatial_attention_map(chw, params))
-    return _chw_to_grid(chw)
+    return map_to_grid(gate(_grid_to_map(grid), params))
 
 
 def swin_block_forward(x, params, shift):
@@ -594,7 +578,7 @@ def patch_merging(x, params, stage_cbam=None):
 def backbone_forward(image, cfg, params, stages=4):
     """Run stages 0 .. stages-1; returns their outputs as [..., D, H, W] maps."""
     if params.model_cbam is not None:
-        image = cbam_apply(image, params.model_cbam.cam, params.model_cbam.sam)
+        image = gate(image, params.model_cbam)
 
     grid = patch_partition_embed(image, cfg, params, stage_cbam=params.stages[0].cbam)
     shift = cfg.window_size // 2
@@ -604,18 +588,18 @@ def backbone_forward(image, cfg, params, stages=4):
             grid = patch_merging(grid, st.merge, stage_cbam=st.cbam)
         for i, bp in enumerate(st.blocks):
             grid = swin_block_forward(grid, bp, shift=0 if i % 2 == 0 else shift)
-        features.append(_grid_to_chw(grid))
+        features.append(_grid_to_map(grid))
     return features
 
 
 class SwinBackbone:
     """Config + parameters bundle with a forward convenience method."""
 
-    def __init__(self, cfg, in_channels=1, params=None):
+    def __init__(self, cfg, in_channels=1):
         cfg.validate()
         self.cfg = cfg
         self.in_channels = in_channels
-        self.params = params if params is not None else init_backbone_params(cfg, in_channels)
+        self.params = init_backbone_params(cfg, in_channels)
 
     def forward(self, image, stages=4):
         return backbone_forward(image, self.cfg, self.params, stages)

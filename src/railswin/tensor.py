@@ -578,10 +578,8 @@ def zero_pad(x, pad_width):
     return _make(np.pad(x.data, pad_width), (x,), backward)
 
 
-def take(x, indices, axis=0):
+def take(x, indices):
     """Gather rows along axis 0: out = x[indices] (indices may be n-D)."""
-    if axis != 0:
-        raise InvalidParam("take supports axis 0 only")
     indices = np.asarray(indices)
     data = x.data[indices]
 

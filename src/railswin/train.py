@@ -20,7 +20,7 @@ from .files import atomic_open, csv_text, read_json, write_text
 from .metrics import Detection, evaluate
 from .data.boxes import BBox
 from .optim import AdamState, adamw_step
-from .swin import CbamPlacement, SwinBackbone, SwinConfig
+from .swin import CbamPlacement, SwinBackbone, SwinConfig, map_to_grid
 from .synth import SyntheticSpec, generate_synthetic
 from .tensor import Tensor, backward, no_grad
 
@@ -107,9 +107,7 @@ def head_forward(features, head):
     if head.task == "classification":
         return T.linear(T.tmean(f, axis=(-2, -1)), head.w, head.b)
     h, w = f.shape[-2], f.shape[-1]
-    n = f.ndim - 3
-    grid = T.transpose(f, tuple(range(n)) + (n + 1, n + 2, n))  # [..., h, w, D]
-    cells = T.reshape(grid, f.shape[:-3] + (h * w, f.shape[-3]))
+    cells = T.reshape(map_to_grid(f), f.shape[:-3] + (h * w, f.shape[-3]))
     return T.linear(cells, head.w, head.b)
 
 

@@ -2,15 +2,15 @@
 
 import pytest
 
-from railswin import cbam, swin
+from railswin import cbam
 
 
 @pytest.fixture
 def refine_calls(monkeypatch):
     """Attention applications: a list that gains one entry per ``refine`` call.
 
-    ``refine`` is wrapped in every railswin module that refers to it, so
-    gates applied through ``cbam_apply`` and through the backbone count
+    ``refine`` is wrapped in ``railswin.cbam``, its one caller being
+    ``cbam.gate``, so gates applied directly and through the backbone count
     alike.  ``clear()`` starts a fresh count.
     """
     calls = []
@@ -20,6 +20,5 @@ def refine_calls(monkeypatch):
         calls.append(m.shape)
         return original(f, m)
 
-    for module in (cbam, swin):
-        monkeypatch.setattr(module, "refine", counting)
+    monkeypatch.setattr(cbam, "refine", counting)
     return calls

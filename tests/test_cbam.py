@@ -6,9 +6,9 @@ import pytest
 from railswin import cbam
 from railswin import tensor as T
 from railswin.cbam import (
+    CbamParams,
     ChannelAttentionParams,
     SpatialAttentionParams,
-    cbam_apply,
     channel_attention_map,
     effective_reduction,
     refine,
@@ -171,11 +171,59 @@ class TestRefine:
         f = Tensor(rng(5).normal(size=(4, 3, 3)))
         cam = ChannelAttentionParams.init(4, 2, rng(6))
         sam = SpatialAttentionParams.init(rng(7))
-        cbam_apply(f, cam, sam)
+        cbam.gate(f, CbamParams(cam=cam, sam=sam))
         assert len(refine_calls) == 1
         m = channel_attention_map(f, cam)
         cbam.refine(f, m)  # the fixture wraps the module attribute, not this file's name
         assert len(refine_calls) == 2
+
+
+def composed_gate(f, params):
+    """What ``gate`` replaces: the explicit map-then-refine composition per kind."""
+    if isinstance(params, CbamParams):
+        refined = f * channel_attention_map(f, params.cam)
+        return refine(refined, spatial_attention_map(refined, params.sam))
+    if isinstance(params, ChannelAttentionParams):
+        return refine(f, channel_attention_map(f, params))
+    return refine(f, spatial_attention_map(f, params))
+
+
+GATE_PARAMS = {
+    "cbam": lambda r: CbamParams.init(6, 2, r),
+    "channel": lambda r: ChannelAttentionParams.init(6, 2, r),
+    "spatial": lambda r: SpatialAttentionParams.init(r),
+}
+
+
+class TestGate:
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["unbatched", "batched"])
+    @pytest.mark.parametrize("kind", list(GATE_PARAMS))
+    def test_matches_composition_values_and_gradients(self, kind, lead):
+        params = GATE_PARAMS[kind](rng(20))
+        f = Tensor(rng(21).normal(size=lead + (6, 5, 4)), requires_grad=True)
+        probe = Tensor(rng(22).normal(size=lead + (6, 5, 4)))
+        leaves = [f] + [t for _, t in T.named_parameters(params)]
+        assert len(leaves) == {"cbam": 4, "channel": 3, "spatial": 2}[kind]
+
+        def run(fn):
+            out = fn(f, params)
+            T.backward(T.tsum(out * probe))
+            return out.data, [t.grad.copy() for t in leaves]
+
+        out, grads = run(cbam.gate)
+        want_out, want_grads = run(composed_gate)
+        assert np.array_equal(out, want_out)
+        for g, want in zip(grads, want_grads):
+            assert np.array_equal(g, want)
+
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["unbatched", "batched"])
+    @pytest.mark.parametrize("kind", list(GATE_PARAMS))
+    def test_one_refine_call_per_gate(self, refine_calls, kind, lead):
+        params = GATE_PARAMS[kind](rng(23))
+        f = Tensor(rng(24).normal(size=lead + (6, 3, 3)))
+        for n in (1, 2, 3):
+            cbam.gate(f, params)
+            assert len(refine_calls) == n
 
 
 class TestGradients:

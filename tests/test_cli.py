@@ -1,6 +1,7 @@
 """Command-line surface: commands, artifacts, exit codes."""
 
 import contextlib
+import csv
 import io
 import json
 from pathlib import Path
@@ -99,9 +100,12 @@ def test_preprocess_ids_unique_across_splits(workspace):
     '{"train": {"dark-blob": 2.7}}',
     '{"train": {"dark-blob": true}}',
     '{"trian": {"dark-blob": 12}}',
+    '{"train": {"dark-blob": -5}}',
+    '{"val": {"dark-blob": -1}}',
 ], ids=["missing-file", "truncated", "fraction-str", "fraction-nan", "fraction-list",
         "count-str", "count-inf", "count-null", "side-list", "fraction-str-number",
-        "fraction-bool", "count-str-digit", "count-fraction", "count-bool", "side-typo"])
+        "fraction-bool", "count-str-digit", "count-fraction", "count-bool", "side-typo",
+        "count-negative-train", "count-negative-val"])
 def test_preprocess_rejects_bad_targets_file(workspace, capsys, content):
     tmp, ann, _ = workspace
     targets = tmp / "targets.json"
@@ -151,6 +155,31 @@ def test_train_eval_roundtrip(workspace, capsys):
     assert (tmp / "e" / "size_ordered.csv").exists()
     doc = json.loads((tmp / "e" / "metrics.json").read_text())
     assert set(doc) >= {"map50", "map75", "mar100", "per_category"}
+
+
+def test_csv_cells_keep_names_with_commas_quotes_and_line_breaks(workspace, capsys):
+    """Every row of every CSV has the header's width, and each name reads back intact."""
+    tmp, ann, _ = workspace
+    doc = json.loads(Path(ann).read_text())
+    names = {1: "squat, light", 2: 'say "when"', 3: "two\r\nlines"}
+    for cat in doc["categories"]:
+        cat["name"] = names.get(cat["id"], cat["name"])
+    renamed = Path(ann).parent / "renamed.json"
+    renamed.write_text(json.dumps(doc))
+    dets = [{"image_id": a["image_id"], "category_id": a["category_id"], "bbox": a["bbox"],
+             "score": 0.9} for a in doc["annotations"]]
+    dets_path = tmp / "dets.json"
+    dets_path.write_text(json.dumps(dets))
+    assert main(["stats", str(renamed), "--out", str(tmp / "s")]) == 0
+    assert main(["eval", "--dets", str(dets_path), "--dataset", str(renamed),
+                 "--out", str(tmp / "e")]) == 0
+    capsys.readouterr()
+    for path in (tmp / "s" / "stats.csv", tmp / "e" / "metrics.csv",
+                 tmp / "e" / "size_ordered.csv"):
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows and all(len(row) == len(header) for row in rows), path
+        assert set(names.values()) <= {row[0] for row in rows}, path
 
 
 def test_eval_needs_a_source(workspace):

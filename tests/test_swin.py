@@ -16,6 +16,7 @@ from railswin.swin import (
     build_shift_mask,
     backbone_forward,
     init_backbone_params,
+    map_to_grid,
     nano_config,
     patch_merging,
     patch_partition_embed,
@@ -25,7 +26,7 @@ from railswin.swin import (
     window_partition,
     window_reverse,
 )
-from railswin.swin import BlockParams, PatchMergeParams, _init_block
+from railswin.swin import BlockParams, PatchMergeParams, _grid_to_map, _init_block
 from railswin.tensor import Tensor, grad_check, no_grad
 
 
@@ -330,6 +331,20 @@ class TestShiftedAttentionOracle:
                     expected[i, sl] = sum(w * v[j, sl] for w, j in zip(a, allowed))
         expected = expected @ p.proj_w.data.T + p.proj_b.data
         assert np.max(np.abs(ours - expected)) < 1e-10
+
+
+class TestLayout:
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["unbatched", "batched"])
+    def test_map_to_grid_inverts_grid_to_map(self, lead):
+        grid = Tensor(rng(30).normal(size=lead + (3, 5, 4)), requires_grad=True)
+        f = _grid_to_map(grid)
+        assert np.array_equal(f.data, np.moveaxis(grid.data, -1, -3))
+        back = map_to_grid(f)
+        assert np.array_equal(back.data, grid.data)
+        assert np.array_equal(_grid_to_map(back).data, f.data)
+        probe = rng(31).normal(size=grid.shape)
+        T.backward(T.tsum(back * Tensor(probe)))
+        assert np.array_equal(grid.grad, probe)
 
 
 class TestPatchOps:
