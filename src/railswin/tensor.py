@@ -4,6 +4,9 @@ Every operation records its inputs and an adjoint callback on the output
 tensor; ``backward(loss)`` topologically sorts that implicit tape and
 replays it in reverse.  Gradients are zeroed at the start of each backward
 call, so repeated calls never accumulate across calls.
+``backward(loss, release=True)`` frees each non-leaf node's gradient,
+inputs and closure as soon as its own backward has run, as training does;
+a released graph cannot be walked again.
 
 A ``.grad`` may share memory with an upstream gradient (or with another
 tensor's ``.grad``) and is never modified in place: copy it before writing
@@ -694,23 +697,34 @@ def _topo_order(root):
     return order
 
 
-def backward(loss):
+def backward(loss, release=False):
     """Populate .grad on every requires_grad tensor reachable from ``loss``.
 
     Gradients of all tensors in the graph are reset first, so each call
     yields exactly dLoss/dLeaf regardless of prior calls.
+
+    With ``release`` set, each non-leaf node drops its gradient, inputs
+    and closure right after its own backward has run, so a node nothing
+    else references is freed during the walk with its activation.  Leaves
+    keep their ``.grad``.  A released graph cannot be walked again.
     """
     if loss.data.size != 1:
         raise NotScalar(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss._prev:
-        raise NoTape("loss was not produced through recorded operations")
+        raise NoTape("loss has no tape: it was not produced through recorded operations, "
+                     "or backward(..., release=True) already released it")
     order = _topo_order(loss)
     for node in order:
         node.grad = None
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
+    while order:
+        node = order.pop()
+        if node._backward is None:
+            continue
+        if node.grad is not None:
             node._backward(node)
+        if release:
+            node.grad, node._prev, node._backward = None, (), None
 
 
 def grad_check(f, x, eps=1e-5, max_coords=None, seed=0):

@@ -409,7 +409,10 @@ def train(cfg, out_dir=None, resume=None, data=None):
         value = loss.item()
         if not np.isfinite(value):
             raise NonFiniteLoss(f"loss became {value} at iteration {iteration + 1}")
-        backward(loss)
+        # the loss alone holds the tape now, so releasing frees it as backward walks
+        del x, features, out
+        backward(loss, release=True)
+        del loss
         adamw_step(params, [p.grad for p in params], adam_state, cfg.lr,
                    cfg.betas, 1e-8, cfg.weight_decay)
         for p in params:

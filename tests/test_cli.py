@@ -622,7 +622,7 @@ def test_malformed_document_exits_with_one_line(documents, tmp_path_factory, dat
     """A mutated COCO, detections or augment-targets file: exit 1 or 2, one stderr line,
     nothing written.  A mutation is a value of a kind its field rejects, a missing
     required key, or the text cut short."""
-    root, valid = documents
+    _, valid = documents
     command, kind = data.draw(st.sampled_from(DOCUMENT_READERS))
     text = json.dumps(valid[kind])
     if data.draw(st.booleans(), label="cut"):
@@ -638,6 +638,17 @@ def test_malformed_document_exits_with_one_line(documents, tmp_path_factory, dat
         else:
             doc = value
         text = json.dumps(doc)
+    rc, err, out = run_with_document(documents, tmp_path_factory, command, kind, text)
+    lines = err.splitlines()
+    assert rc in (1, 2), text
+    assert len(lines) == 1, err
+    assert lines[0].startswith("error: " if rc == 1 else "runtime failure: ")
+    assert list(out.iterdir()) == []
+
+
+def run_with_document(documents, tmp_path_factory, command, kind, text):
+    """Run ``command`` with ``text`` as its ``kind`` document: exit code, stderr, out dir."""
+    root, valid = documents
     files = {name: root / f"{name}.json" for name in valid}
     files[kind] = root / f"mutated-{kind}.json"  # next to the images: file names resolve
     files[kind].write_text(text)
@@ -649,10 +660,35 @@ def test_malformed_document_exits_with_one_line(documents, tmp_path_factory, dat
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         rc = main([str(a) for a in argv] + ["--out", str(out)])
-    lines = err.getvalue().splitlines()
-    assert rc in (1, 2), text
-    assert len(lines) == 1, err.getvalue()
-    assert lines[0].startswith("error: " if rc == 1 else "runtime failure: ")
+    return rc, err.getvalue(), out
+
+
+# (command, document, path, a value of an accepted kind but out of range, the
+# words the error names it by)
+OUT_OF_RANGE = (
+    [("preprocess", "targets", ("fraction",), f, "split fraction") for f in (0, 1, 1.5, -0.5)]
+    + [("preprocess", "targets", ("train", "dark-blob"), -1, "count must be >= 0"),
+       ("eval", "dets", (0, "score"), 1.5, "score must be in [0, 1]"),
+       ("eval", "dets", (0, "bbox"), [1, 1, -5, 5], "extents must be >= 0")]
+    + [(command, "coco", path, value, words) for command in ("eval", "preprocess")
+       for path, value, words in ((("images", 0, "width"), 0, "positive width"),
+                                  (("annotations", 0, "bbox"), [1, 1, 5, -5],
+                                   "extents must be >= 0"),
+                                  (("categories", 0, "id"), -1, "negative id"))])
+
+
+@pytest.mark.parametrize("command,kind,path,value,words", OUT_OF_RANGE)
+def test_out_of_range_value_exits_1_with_one_line(documents, tmp_path_factory,
+                                                  command, kind, path, value, words):
+    """A value of a kind its field accepts, but out of range: exit 1, one stderr line
+    that names the check, nothing written."""
+    doc = json.loads(json.dumps(documents[1][kind]))
+    edit(doc, path, value)
+    rc, err, out = run_with_document(documents, tmp_path_factory, command, kind,
+                                     json.dumps(doc))
+    assert rc == 1, err
+    assert_one_error_line(err)
+    assert words in err
     assert list(out.iterdir()) == []
 
 

@@ -332,6 +332,52 @@ class TestBackward:
         assert np.array_equal(y.grad, np.full((2, 3), 3.0))
 
 
+def _nano_loss(placement, task):
+    """The loss of one nano training batch (4 images, 32x32), built as ``train`` builds it."""
+    from railswin.swin import SwinBackbone, nano_config
+    from railswin.synth import SyntheticSpec, generate_synthetic
+    from railswin.train import (_class_label, _image_tensor, head_forward, init_head_params,
+                                localization_loss)
+
+    data = generate_synthetic(SyntheticSpec(num_images=4, image_size=(32, 32), seed=3))
+    cat_index = {c: i for i, c in enumerate(sorted(data.categories))}
+    backbone = SwinBackbone(nano_config(placement, seed=0))
+    head = init_head_params(backbone.cfg, len(data.categories), task)
+    features = backbone.forward(_image_tensor(data.images), head.stage + 1)
+    out = head_forward(features, head)
+    if task == "classification":
+        return T.cross_entropy(out, np.array([_class_label(im, cat_index) for im in data.images]))
+    return localization_loss(out, data.images, features[head.stage].shape[-2:],
+                             backbone.cfg.stage_stride(head.stage), cat_index)
+
+
+class TestRelease:
+    @pytest.mark.parametrize("task", ["classification", "localization"])
+    @pytest.mark.parametrize("placement", ["none", "model", "stage", "block"])
+    def test_same_leaf_gradients_and_an_empty_tape(self, placement, task):
+        """A released walk leaves every leaf the default walk's gradient, and no tape."""
+        from railswin.swin import CbamPlacement
+
+        loss = _nano_loss(CbamPlacement(placement), task)
+        nodes = T._topo_order(loss)
+        leaves = [n for n in nodes if n._backward is None]
+        inner = [n for n in nodes if n._backward is not None]
+        backward(loss)
+        kept = [None if n.grad is None else n.grad.copy() for n in leaves]
+        assert sum(g is not None for g in kept) > 20
+
+        backward(loss, release=True)
+        for n, g in zip(leaves, kept):
+            assert (n.grad is None) == (g is None)
+            if g is not None:
+                assert np.array_equal(n.grad, g)
+        assert len(inner) > 50
+        for n in inner:
+            assert n.grad is None and n._prev == () and n._backward is None
+        with pytest.raises(NoTape, match="released"):
+            backward(loss)
+
+
 def _assert_grads_equal_to_oracle_accum(monkeypatch, build):
     """Run ``build()`` and backward twice, new ``_accum`` against the zeros-and-+= one."""
     def grads():

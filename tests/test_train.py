@@ -1,9 +1,11 @@
 """Training harness: head, loop mechanics, checkpoints, timing, ablation."""
 
+import gc
 import hashlib
 import json
 import os
 import re
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -265,6 +267,36 @@ class TestLoop:
             train(quick_cfg(iters=2), out_dir=tmp_path)
         assert Path(first.checkpoint_path).read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["checkpoint.npz", "loss_curve.csv", "timing.csv"]
+
+    @pytest.mark.parametrize("task,placement", [("classification", CbamPlacement.NONE),
+                                                ("localization", CbamPlacement.BLOCK)])
+    def test_no_tape_is_alive_at_an_optimizer_step(self, monkeypatch, task, placement):
+        """With gc off, no recorded node's data outlives the backward that walked it."""
+        from railswin import train as train_mod
+
+        make, step, refs, alive = T._make, train_mod.adamw_step, [], []
+
+        def recording(data, inputs, backward_fn):
+            out = make(data, inputs, backward_fn)
+            if out._backward is not None:
+                refs.append(weakref.ref(out.data))
+            return out
+
+        def counting(*args, **kwargs):
+            alive.append(sum(r() is not None for r in refs))
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(T, "_make", recording)
+        monkeypatch.setattr(train_mod, "adamw_step", counting)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            train(quick_cfg(task=task, iters=3, placement=placement))
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(refs) > 3 * 90
+        assert alive == [0, 0, 0]
 
 
 def _train_with_model(cfg, model):
