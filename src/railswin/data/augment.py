@@ -18,6 +18,7 @@ lattice images and boxes round-trip exactly.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -103,30 +104,85 @@ def _affine_inverse(m):
                      [0.0, 0.0, 1.0]])
 
 
-def _bilinear_sample(pixels, inv):
-    """Resample with the inverse map; out-of-bounds reads contribute zero."""
-    H, W = pixels.shape[:2]
-    ys, xs = np.meshgrid(np.arange(H), np.arange(W), indexing="ij")
-    px, py = xs + 0.5, ys + 0.5
-    sx = inv[0, 0] * px + inv[0, 1] * py + inv[0, 2]
-    sy = inv[1, 0] * px + inv[1, 1] * py + inv[1, 2]
-    fx, fy = sx - 0.5, sy - 0.5
-    x0 = np.floor(fx).astype(np.int64)
-    y0 = np.floor(fy).astype(np.int64)
-    wx, wy = fx - x0, fy - y0
+class _Scratch:
+    """Work arrays for one pixel-array shape.
 
-    img = pixels.astype(np.float64)
-    color = img.ndim == 3
-    out = np.zeros_like(img)
-    for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        weight = (wx if dx else 1.0 - wx) * (wy if dy else 1.0 - wy)
-        xi, yi = x0 + dx, y0 + dy
-        valid = (xi >= 0) & (xi < W) & (yi >= 0) & (yi < H)
-        v = img[np.clip(yi, 0, H - 1), np.clip(xi, 0, W - 1)]
-        if color:
-            weight, valid = weight[..., None], valid[..., None]
-        out += weight * np.where(valid, v, 0.0)
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    ``padded`` is the image as float64 inside a two-pixel border that stays
+    zero.  A tap's column x0 clipped to [-2, W] then reads 0 wherever x0 or
+    x0 + 1 falls outside the image, and x0 + 1 is always the next column, so
+    the four taps of a pixel are one flat index and three fixed offsets.
+    """
+
+    def __init__(self, shape):
+        H, W = shape[:2]
+        self.shape = shape
+        self.xc, self.yc = np.arange(W) + 0.5, np.arange(H) + 0.5
+        self.padded = np.zeros((H + 4, W + 4) + shape[2:])
+        self.flat = self.padded.reshape((-1,) + shape[2:])
+        self.f = [np.empty((H, W)) for _ in range(5)]
+        self.i = [np.empty((H, W), np.int64) for _ in range(3)]
+        self.taps = np.empty((H * W,) + shape[2:])
+        self.acc = np.empty_like(self.taps)
+
+
+# One _Scratch per thread, replaced when the image shape changes, so memory
+# does not grow with the number of distinct sizes in a dataset.  Results
+# never alias it, so one caller cannot see another's work.
+_local = threading.local()
+
+
+def _scratch(shape):
+    s = getattr(_local, "scratch", None)
+    if s is None or s.shape != shape:
+        s = _local.scratch = _Scratch(shape)
+    return s
+
+
+def _bilinear_sample(pixels, inv):
+    """Resample with the inverse map; out-of-bounds reads contribute zero.
+
+    Per pixel: source point ``inv @ (x + 0.5, y + 0.5, 1) - 0.5``, four taps
+    weighted ``(1-wx)(1-wy)``, ``wx(1-wy)``, ``(1-wx)wy``, ``wx wy`` and summed
+    in that order, then rounded and clipped to uint8.  Temporaries live in a
+    per-shape ``_Scratch``; the result is always a fresh array.
+    """
+    H, W = pixels.shape[:2]
+    s = _scratch(pixels.shape)
+    s.padded[2:-2, 2:-2] = pixels
+    ux, uy, wx, wy, w = s.f
+    cx, cy, idx = s.i
+    # source coordinate per axis, (a*px + b*py) + c - 0.5, from 1-D centres
+    for f, (a, b, c) in ((ux, inv[0]), (uy, inv[1])):
+        f[...] = a * s.xc
+        np.add(f, (b * s.yc)[:, None], out=f)
+        np.add(f, c, out=f)
+        np.subtract(f, 0.5, out=f)
+    # i = floor(f) cast to int64 and w = f - i; then f becomes 1 - w, and i
+    # the padded column (row) of i, clipped onto the zero border
+    for f, i, wf, n in ((ux, cx, wx, W), (uy, cy, wy, H)):
+        np.floor(f, out=wf)
+        np.copyto(i, wf, casting="unsafe")
+        np.subtract(f, i, out=wf)
+        np.subtract(1.0, wf, out=f)
+        np.clip(i, -2, n, out=i)
+        i += 2
+    cy *= W + 4
+    np.add(cy, cx, out=idx)
+    acc, taps = s.acc, s.taps
+    w_col = w.reshape((H * W,) + (1,) * (pixels.ndim - 2))
+    # Weights are finite and >= 0, so a border read adds w * 0 = +0.0, as a
+    # masked-out tap would, and the first tap can stand for 0.0 + tap.
+    for k, (xw, yw, step) in enumerate(((ux, uy, 0), (wx, uy, 1), (ux, wy, W + 3), (wx, wy, 1))):
+        if step:
+            idx += step
+        np.take(s.flat, idx.reshape(-1), axis=0, out=taps, mode="clip")
+        np.multiply(xw, yw, out=w)
+        np.multiply(w_col, taps, out=taps if k else acc)
+        if k:
+            np.add(acc, taps, out=acc)
+    np.rint(acc, out=acc)
+    np.clip(acc, 0, 255, out=acc)
+    return acc.astype(np.uint8).reshape(pixels.shape)
 
 
 def _map_box(box, matrix):

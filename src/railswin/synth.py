@@ -9,7 +9,9 @@ rail strip with additive Gaussian noise:
     texture-patch  high-contrast speckle region (large box)
 
 Instances flagged small are sized so box area / image area < 2% by
-construction; regular instances sit comfortably above that line.
+construction; regular instances sit comfortably above that line.  Each
+instance is flagged small with probability ``small_fraction``, and always
+when its kind is named in ``small_categories``.
 """
 
 from __future__ import annotations
@@ -44,12 +46,14 @@ class SyntheticSpec:
     categories: tuple[str, ...] = DEFECT_KINDS
     instances_per_image: tuple[int, int] = (1, 1)
     small_fraction: float = 0.3
+    small_categories: tuple[str, ...] = ()
     noise_level: float = 4.0
     seed: int = 0
 
     def __post_init__(self):
         self.image_size = tuple(int(v) for v in self.image_size)
         self.categories = tuple(self.categories)
+        self.small_categories = tuple(self.small_categories)
         self.instances_per_image = tuple(int(v) for v in self.instances_per_image)
         if self.num_images < 1:
             raise InvalidParam("num_images must be >= 1")
@@ -57,6 +61,9 @@ class SyntheticSpec:
             raise InvalidParam("image_size must be at least 8x8")
         if not self.categories or any(c not in DEFECT_KINDS for c in self.categories):
             raise InvalidParam(f"categories must be drawn from {DEFECT_KINDS}")
+        unknown = [c for c in self.small_categories if c not in self.categories]
+        if unknown:
+            raise InvalidParam(f"small_categories names {unknown[0]!r}, not one of {self.categories}")
         lo, hi = self.instances_per_image
         if not 1 <= lo <= hi:
             raise InvalidParam("instances_per_image must be (lo, hi) with 1 <= lo <= hi")
@@ -131,7 +138,8 @@ def generate_synthetic(spec):
         instances = []
         for _ in range(n_inst):
             kind = spec.categories[int(rng.integers(len(spec.categories)))]
-            small = bool(rng.random() < spec.small_fraction)
+            # the draw happens either way, so the default spec keeps its bytes
+            small = bool(rng.random() < spec.small_fraction) or kind in spec.small_categories
             w, h = _pick_box_dims(rng, kind, H, W, small)
             x = int(rng.integers(0, W - w + 1))
             y = int(rng.integers(0, H - h + 1))

@@ -431,3 +431,32 @@ def oracle_swin_block_forward(x, params, shift):
     y = T.gelu(y)
     y = T.linear(y, params.mlp_w2, params.mlp_b2)
     return x + y
+
+
+def oracle_bilinear_sample(pixels, inv):
+    """The resampler as first written: 2-D fancy-index gathers and a ``where``.
+
+    ``railswin.data.augment._bilinear_sample`` must return the same bytes.
+    """
+    H, W = pixels.shape[:2]
+    ys, xs = np.meshgrid(np.arange(H), np.arange(W), indexing="ij")
+    px, py = xs + 0.5, ys + 0.5
+    sx = inv[0, 0] * px + inv[0, 1] * py + inv[0, 2]
+    sy = inv[1, 0] * px + inv[1, 1] * py + inv[1, 2]
+    fx, fy = sx - 0.5, sy - 0.5
+    x0 = np.floor(fx).astype(np.int64)
+    y0 = np.floor(fy).astype(np.int64)
+    wx, wy = fx - x0, fy - y0
+
+    img = pixels.astype(np.float64)
+    color = img.ndim == 3
+    out = np.zeros_like(img)
+    for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        weight = (wx if dx else 1.0 - wx) * (wy if dy else 1.0 - wy)
+        xi, yi = x0 + dx, y0 + dy
+        valid = (xi >= 0) & (xi < W) & (yi >= 0) & (yi < H)
+        v = img[np.clip(yi, 0, H - 1), np.clip(xi, 0, W - 1)]
+        if color:
+            weight, valid = weight[..., None], valid[..., None]
+        out += weight * np.where(valid, v, 0.0)
+    return np.clip(np.rint(out), 0, 255).astype(np.uint8)

@@ -1,12 +1,18 @@
 """Geometric transforms: exactness, box corner mapping, parameter ranges."""
 
+import importlib
+
 import numpy as np
 import pytest
+from _oracles import oracle_bilinear_sample
 
 from railswin.data.augment import apply_transforms, augment, validate_transform
 from railswin.data.boxes import BBox
 from railswin.data.coco import AnnotatedImage
 from railswin.errors import InvalidParam
+
+# the package re-exports the function ``augment``, which shadows the module name
+A = importlib.import_module("railswin.data.augment")
 
 
 def image(w=100, h=80, boxes=((BBox(10, 10, 20, 10), 1),), seed=0):
@@ -132,3 +138,66 @@ class TestBoxSafety:
                 assert box.x2 <= img.width and box.y2 <= img.height
                 assert box.area >= 4.0
                 assert cat == 1
+
+
+def random_inverse(rng, kind, W, H):
+    """One inverse map of the given kind; "wild" reaches far out of bounds."""
+    if kind == "wild":
+        lin = rng.uniform(-3.0, 3.0, (2, 2))
+        return np.array([[lin[0, 0], lin[0, 1], rng.uniform(-300.0, 300.0)],
+                         [lin[1, 0], lin[1, 1], rng.uniform(-300.0, 300.0)],
+                         [0.0, 0.0, 1.0]])
+    spec = {"rotate": ("rotate", float(rng.uniform(-15.0, 15.0))),
+            "quarter": ("rotate", 90 * int(rng.integers(-4, 5))),
+            "scale": ("scale", float(rng.uniform(0.5, 1.5))),
+            "shear": ("shear", float(rng.uniform(-0.2, 0.2))),
+            "translate": ("translate", float(rng.uniform(-0.2, 0.2) * W),
+                          float(rng.uniform(-0.2, 0.2) * H))}[kind]
+    return A._affine_inverse(A._affine_matrix(spec, W, H))
+
+
+MAP_KINDS = ("rotate", "quarter", "scale", "shear", "translate", "wild")
+SHAPES = [(1, 1), (1, 1, 3), (7, 5), (7, 5, 3), (2, 9), (2, 9, 3), (96, 128), (96, 128, 3)]
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+class TestResampler:
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_matches_oracle(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        H, W = shape[:2]
+        for kind in MAP_KINDS:
+            for _ in range(4 if H * W > 100 else 12):
+                pixels = rng.integers(0, 256, shape).astype(np.uint8)
+                inv = random_inverse(rng, kind, W, H)
+                assert_same_bytes(A._bilinear_sample(pixels, inv),
+                                  oracle_bilinear_sample(pixels, inv))
+
+    @pytest.mark.parametrize("shape", [(12, 10), (12, 10, 3)])
+    def test_result_is_fresh_and_stays_put(self, shape):
+        rng = np.random.default_rng(5)
+        pixels = rng.integers(0, 256, shape).astype(np.uint8)
+        first = A._bilinear_sample(pixels, random_inverse(rng, "rotate", 10, 12))
+        kept = first.copy()
+        second = A._bilinear_sample(pixels, random_inverse(rng, "wild", 10, 12))
+        assert np.array_equal(first, kept)  # the second call wrote elsewhere
+        assert not np.shares_memory(first, second)
+        scratch = A._local.scratch
+        for out in (first, second):
+            assert not np.shares_memory(out, pixels)
+            for buf in (scratch.padded, scratch.taps, scratch.acc, *scratch.f, *scratch.i):
+                assert not np.shares_memory(out, buf)
+
+    def test_alternating_sizes_keep_one_scratch(self):
+        rng = np.random.default_rng(8)
+        for shape in [(20, 16), (9, 13, 3), (20, 16)]:
+            pixels = rng.integers(0, 256, shape).astype(np.uint8)
+            inv = random_inverse(rng, "shear", shape[1], shape[0])
+            assert_same_bytes(A._bilinear_sample(pixels, inv),
+                              oracle_bilinear_sample(pixels, inv))
+            assert list(vars(A._local)) == ["scratch"]
+            assert A._local.scratch.shape == shape

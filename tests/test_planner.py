@@ -1,7 +1,11 @@
 """Balance planner and train/val splitting: determinism, targets, replay."""
 
+import importlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from _oracles import oracle_bilinear_sample
 
 from railswin.data.planner import plan_and_execute_augmentation, replay_plan, split_train_val
 from railswin.errors import InvalidParam
@@ -102,6 +106,38 @@ class TestPlanner:
             assert 1 <= len(rec.transforms) <= 3
             for t in rec.transforms:
                 assert t[0] in ("hflip", "vflip", "scale", "rotate", "shear", "translate")
+
+
+class TestResampledBytes:
+    """The shipped resampler and the oracle synthesize the same images."""
+
+    @staticmethod
+    def synthesize(data, targets):
+        plan, out = plan_and_execute_augmentation(data, targets, seed=8)
+        first = max(im.id for im in data.images) + 1
+        return plan, [im for im in out.images if im.id >= first], replay_plan(plan, data)
+
+    @pytest.mark.parametrize("color", [False, True])
+    def test_plan_and_replay_match_the_oracle(self, color, monkeypatch):
+        data = dataset(n=12, seed=3)
+        if color:
+            data.images = [replace(im, channels=3, pixels=np.stack(
+                [im.pixels, 255 - im.pixels, im.pixels // 2], axis=-1)) for im in data.images]
+        targets = {cid: data.image_count(cid) + 6 for cid in data.categories}
+        shipped = self.synthesize(data, targets)
+        monkeypatch.setattr(importlib.import_module("railswin.data.augment"),
+                            "_bilinear_sample", oracle_bilinear_sample)
+        oracle = self.synthesize(data, targets)
+        assert shipped[0].to_json() == oracle[0].to_json()
+        resampled = [t for rec in shipped[0].records for t in rec.transforms
+                     if t[0] not in ("hflip", "vflip")]
+        assert len(resampled) >= 10
+        for mine, theirs in ((shipped[1], oracle[1]), (shipped[2], oracle[2])):
+            assert len(mine) == len(theirs) == len(shipped[0].records)
+            for a, b in zip(mine, theirs):
+                assert a.id == b.id and a.instances == b.instances
+                assert a.pixels.dtype == b.pixels.dtype and a.pixels.shape == b.pixels.shape
+                assert np.array_equal(a.pixels, b.pixels)
 
 
 class TestSplit:

@@ -1,5 +1,7 @@
 """Procedural dataset generator: determinism, size rules, bounds."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,35 @@ def test_small_fraction_one_bounds_every_ratio():
     for im in data.images:
         for box, _ in im.instances:
             assert box.area / (im.width * im.height) < 0.02
+
+
+def dataset_sha(data):
+    h = hashlib.sha256()
+    for im in data.images:
+        h.update(im.pixels.tobytes())
+        h.update(repr([(b.x, b.y, b.w, b.h, c) for b, c in im.instances]).encode())
+    return h.hexdigest()
+
+
+def test_default_spec_bytes_are_pinned():
+    # digests of the generator's output before small_categories existed
+    assert dataset_sha(generate_synthetic(SyntheticSpec())) == \
+        "848bf7f1f26c8b391a05eb682dac8af0df63f6a871eec9327650ea543680a96b"
+    spec = SyntheticSpec(num_images=40, image_size=(48, 40), instances_per_image=(1, 3), seed=12)
+    assert dataset_sha(generate_synthetic(spec)) == \
+        "6f68c10bb0d2edc7a93b98e44f55869366f93b79a35e206ee9544338d05a026b"
+
+
+def test_small_categories_are_always_small():
+    data = generate_synthetic(SyntheticSpec(num_images=60, seed=3, small_fraction=0.0,
+                                            small_categories=("dark-blob",)))
+    blob = [cid for cid, name in data.categories.items() if name == "dark-blob"]
+    ratios = {True: [], False: []}
+    for im in data.images:
+        for box, cat in im.instances:
+            ratios[cat in blob].append(box.area / (im.width * im.height))
+    assert ratios[True] and max(ratios[True]) < 0.02
+    assert ratios[False] and min(ratios[False]) >= 0.02
 
 
 def test_instance_count_bounds():
@@ -74,3 +105,7 @@ def test_spec_validation():
         SyntheticSpec(instances_per_image=(3, 1))
     with pytest.raises(InvalidParam):
         SyntheticSpec(small_fraction=1.5)
+    with pytest.raises(InvalidParam):
+        SyntheticSpec(small_categories=("squat",))
+    with pytest.raises(InvalidParam):  # a kind the spec never draws
+        SyntheticSpec(categories=("scratch-line",), small_categories=("dark-blob",))

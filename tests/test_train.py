@@ -385,6 +385,18 @@ class TestAblation:
         assert cells["map50_small"] == ""
         assert float(cells["map50_regular"]) == row["map50_regular"]
 
+    def test_always_small_category_fills_both_size_columns(self):
+        base = quick_cfg(task="localization", iters=6, n=16)
+        base = replace(base, synthetic=replace(base.synthetic, small_categories=("dark-blob",)))
+        result = run_ablation(base, variants=[CbamPlacement.NONE], seeds=(5,), val_images=12)
+        val = generate_synthetic(replace(base.synthetic, seed=5 + 100_000, num_images=12))
+        classes = {s.category_id: s.size_class for s in category_stats(val)}
+        blob = [cid for cid, name in val.categories.items() if name == "dark-blob"]
+        assert [classes[cid] for cid in blob] == ["small"]
+        assert "regular" in classes.values()
+        row = result.summary[0]
+        assert row["map50_small"] is not None and row["map50_regular"] is not None
+
 
 class TestPrediction:
     def test_predicts_and_evaluates(self):
