@@ -26,7 +26,11 @@ train split, then ``eval --dets`` and ``eval --checkpoint`` on the val
 split) prints a ``cli`` line per text artifact it writes, with the sha256
 of the file's bytes.  ``timing.csv`` is left out: it holds wall times.
 Each split that ``preprocess`` writes also gets an ``images`` line over
-its PGM/PPM files, name and bytes, in sorted name order.
+its PGM/PPM files, name and bytes, in sorted name order.  The last line
+is ``eval --dets`` on the preprocessed train split with DENSE_DETS
+detections per image (three jittered copies of each box, then random
+boxes of any category, scores on a 0.01 grid so that some tie): one
+digest over its three artifacts, names and bytes.
 
 BLAS runs single-threaded.  Point PYTHONPATH at another checkout's ``src``
 and diff the two outputs.
@@ -68,6 +72,7 @@ BATCH = 16
 TRAIN_IMAGES = 32
 VAL_IMAGES = 16
 SEED = 0
+DENSE_DETS = 20
 
 
 def sha(*parts):
@@ -174,6 +179,47 @@ def digest_cli(workdir):
                 with open(path("prep", split, name), "rb") as fh:
                     parts += [name, fh.read()]
         print(f"cli prep/{split} images {len(parts) // 2} {sha(*parts)}")
+    train_split = path("prep", "train", "annotations.json")
+    with open(train_split) as fh:
+        write_dense_dets(json.load(fh), path("dense.json"))
+    run_cli("eval", "--dets", path("dense.json"), "--dataset", train_split,
+            "--out", path("eval-dense"))
+    parts = []
+    for name in ("metrics.json", "metrics.csv", "size_ordered.csv"):
+        with open(path("eval-dense", name), "rb") as fh:
+            parts += [name, fh.read()]
+    print(f"cli eval-dense {sha(*parts)}")
+
+
+def write_dense_dets(doc, out_path):
+    """DENSE_DETS detections per image of a COCO document, made as railbench's
+    dataset-eval makes them (jittered copies of each box, then random boxes),
+    with scores rounded to 0.01."""
+    rng = np.random.default_rng([SEED, 7])
+    cats = [c["id"] for c in doc["categories"]]
+    boxes = {im["id"]: [] for im in doc["images"]}
+    for a in doc["annotations"]:
+        boxes[a["image_id"]].append((a["bbox"], a["category_id"]))
+    out = []
+    for im in doc["images"]:
+        W, H = im["width"], im["height"]
+        mine = []
+        for (x, y, w, h), cat in boxes[im["id"]]:
+            for spread in (0.05, 0.15, 0.3):
+                dx, dy, sw, sh = rng.normal(0.0, spread, 4)
+                bx = min(max(x + dx * w, 0.0), W - 1.0)
+                by = min(max(y + dy * h, 0.0), H - 1.0)
+                bw, bh = min(w * np.exp(sw), W - bx), min(h * np.exp(sh), H - by)
+                mine.append((cat, [bx, by, bw, bh]))
+        while len(mine) < DENSE_DETS:
+            bw, bh = rng.uniform(4.0, W / 2.0), rng.uniform(4.0, H / 2.0)
+            mine.append((int(rng.choice(cats)),
+                         [rng.uniform(0.0, W - bw), rng.uniform(0.0, H - bh), bw, bh]))
+        for cat, box in mine[:DENSE_DETS]:
+            out.append({"image_id": im["id"], "category_id": cat,
+                        "bbox": [float(v) for v in box], "score": round(float(rng.random()), 2)})
+    with open(out_path, "w") as fh:
+        json.dump(out, fh)
 
 
 def main():

@@ -144,15 +144,18 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    data = load_coco(args.dataset)
+    if args.dets and args.checkpoint:
+        raise InvalidParam("eval takes --dets or --checkpoint, not both")
+    if not (args.dets or args.checkpoint):
+        raise InvalidParam("eval needs --dets or --checkpoint")
+    # --dets scores boxes alone; --checkpoint runs the model on the pixels
+    data = load_coco(args.dataset, load_pixels=not args.dets)
     if args.dets:
         dets = load_detections(args.dets)
-    elif args.checkpoint:
+    else:
         _, backbone, head, _, meta = load_checkpoint(args.checkpoint)
         check_categories(meta, data)
         dets = predict_detections(backbone, head, data)
-    else:
-        raise InvalidParam("eval needs --dets or --checkpoint")
     report = evaluate(dets, data)
     out = _ensure_out(args)
     write_json(os.path.join(out, "metrics.json"), report_to_dict(report))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from railswin.cli import main
 from railswin.config import to_dict
 from railswin.data.coco import load_coco, save_dataset
+from railswin.errors import ParseError
 from railswin.swin import nano_config
 from railswin.synth import DEFECT_KINDS, SyntheticSpec, generate_synthetic
 from railswin.train import TrainConfig
@@ -185,6 +186,50 @@ def test_csv_cells_keep_names_with_commas_quotes_and_line_breaks(workspace, caps
 def test_eval_needs_a_source(workspace):
     tmp, ann, _ = workspace
     assert main(["eval", "--dataset", str(ann), "--out", str(tmp / "e2")]) == 1
+
+
+@pytest.mark.parametrize("sources,words", [
+    ((), "eval needs --dets or --checkpoint"),
+    (("--dets", "dets.json", "--checkpoint", "checkpoint.npz"), "not both"),
+], ids=["neither", "both"])
+def test_eval_source_flags_checked_before_reading_anything(tmp_path, capsys, sources, words):
+    """Neither or both of --dets and --checkpoint: exit 1 with one line naming that,
+    before the dataset or either source is read (none of them exists here)."""
+    argv = ["eval", "--dataset", str(tmp_path / "missing.json"), "--out", str(tmp_path / "e")]
+    argv += [str(tmp_path / a) if not a.startswith("--") else a for a in sources]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert words in err
+    assert not (tmp_path / "e").exists()
+
+
+def test_eval_dets_reads_no_pixels(workspace, capsys):
+    """eval --dets scores boxes alone: with every image file deleted or overwritten
+    it writes the same three artifacts as with the images in place."""
+    tmp, ann, _ = workspace
+    doc = json.loads(Path(ann).read_text())
+    dets = [{"image_id": a["image_id"], "category_id": a["category_id"],
+             "bbox": [v + 1 for v in a["bbox"]], "score": 1.0 / (1 + a["id"] % 5)}
+            for a in doc["annotations"]]
+    dets_path = tmp / "dets.json"
+    dets_path.write_text(json.dumps(dets))
+    args = ["eval", "--dets", str(dets_path), "--dataset", str(ann), "--out"]
+    assert main(args + [str(tmp / "before")]) == 0
+    images = sorted(Path(ann).parent.glob("*.pgm"))
+    assert len(images) == len(doc["images"])
+    for k, image in enumerate(images):
+        if k % 2:
+            image.unlink()
+        else:
+            image.write_bytes(b"not an image")
+    with pytest.raises(ParseError):
+        load_coco(ann)  # reading the pixels would fail now
+    assert main(args + [str(tmp / "after")]) == 0
+    names = ("metrics.json", "metrics.csv", "size_ordered.csv")
+    assert sorted(p.name for p in (tmp / "after").iterdir()) == sorted(names)
+    for name in names:
+        assert (tmp / "after" / name).read_bytes() == (tmp / "before" / name).read_bytes()
 
 
 def _localization_checkpoint(tmp, cfg_path):
@@ -689,6 +734,31 @@ def test_out_of_range_value_exits_1_with_one_line(documents, tmp_path_factory,
     assert rc == 1, err
     assert_one_error_line(err)
     assert words in err
+    assert list(out.iterdir()) == []
+
+
+BAD_DETECTION_ENTRIES = {
+    "negative-w": {"image_id": 1, "category_id": 1, "bbox": [1, 1, -5, 5], "score": 0.7},
+    "score-1.5": {"image_id": 1, "category_id": 1, "bbox": [1, 1, 5, 5], "score": 1.5},
+    "not-an-object": [1, 1, [1, 1, 5, 5], 0.7],
+    "five-values": {"image_id": 1, "category_id": 1, "bbox": [1, 1, 5, 5, 5], "score": 0.7},
+    "id-beyond-int64": {"image_id": -2**63 - 1, "category_id": 1, "bbox": [1, 1, 5, 5],
+                        "score": 0.7},
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_DETECTION_ENTRIES))
+def test_bad_detection_entry_exits_1_naming_the_first(documents, tmp_path_factory, case):
+    """A good entry, then a bad one, then another bad one: exit 1 with one line that
+    names the first bad entry, nothing written."""
+    good = documents[1]["dets"][0]
+    bad = BAD_DETECTION_ENTRIES[case]
+    later = {"category_id": 1, "bbox": [1, 1, 5, 5], "score": 0.7}  # no image_id
+    rc, err, out = run_with_document(documents, tmp_path_factory, "eval", "dets",
+                                     json.dumps([good, bad, later]))
+    assert rc == 1, err
+    assert_one_error_line(err)
+    assert f"error: bad detection entry {bad!r}: " in err
     assert list(out.iterdir()) == []
 
 

@@ -1,5 +1,7 @@
 """Detection metrics against exhaustive brute-force oracles."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,13 @@ from railswin.data.coco import AnnotatedImage, Dataset
 from railswin.errors import InvalidParam, MissingStats, ParseError
 from railswin.metrics import (
     Detection,
+    DetectionTable,
     average_precision,
     evaluate,
     iou,
     load_detections,
     match_detections,
+    pair_iou,
     report_to_csv,
     report_to_dict,
     size_ordered_report,
@@ -58,6 +62,51 @@ class TestIou:
     def test_one_iff_identical_positive(self):
         assert iou(BBox(0, 0, 0, 0), BBox(0, 0, 0, 0)) == 0.0  # empty union convention
         assert iou(BBox(1, 1, 3, 3), BBox(1, 1, 3, 3.5)) < 1.0
+
+
+class TestPairIou:
+    """The broadcast IoU has the bits of the scalar ``iou`` for every pair."""
+
+    EDGE_CASES = [
+        ((0, 0, 10, 10), (10, 0, 10, 10)),  # touching edges
+        ((0, 0, 10, 10), (0, 10, 10, 10)),
+        ((0, 0, 10, 10), (10, 10, 5, 5)),  # touching corners
+        ((5, 5, 0, 0), (0, 0, 10, 10)),  # zero area, inside
+        ((0, 0, 0, 10), (0, 0, 10, 10)),  # zero width, on an edge
+        ((5, 5, 0, 0), (5, 5, 0, 0)),  # two empty boxes: empty union
+        ((2, 3, 4, 5), (0, 0, 10, 10)),  # one inside the other
+        ((0.1, 0.2, 0.3, 0.7), (0.1, 0.2, 0.3, 0.7)),  # identical
+        ((0, 0, 1, 1), (50, 50, 1, 1)),  # disjoint
+        ((-0.0, -0.0, 0.0, 0.0), (0.0, 0.0, -0.0, 0.0)),  # signed zeros
+        ((-1.0, 0.0, 1.0, 1.0), (-0.0, 0.0, 1.0, 1.0)),  # edge at -0.0 against 0.0
+        ((-0.0, 0.0, -0.0, 1.0), (0.0, 0.0, 5.0, 1.0)),  # overlap of -0.0: iou gives +0.0
+        ((1e308, 0, 1e308, 1), (1e308, 0, 1e308, 1)),  # x + w overflows
+    ]
+
+    @staticmethod
+    def scalar_grid(a, b):
+        return np.array([[iou(BBox(*p), BBox(*q)) for q in b.tolist()] for p in a.tolist()])
+
+    @pytest.mark.parametrize("a,b", EDGE_CASES)
+    def test_edge_cases(self, a, b):
+        for p, q in ((a, b), (b, a)):
+            got = pair_iou(np.array(p, dtype=float), np.array(q, dtype=float))
+            assert got.tobytes() == np.float64(iou(BBox(*p), BBox(*q))).tobytes(), (p, q)
+
+    def test_random_boxes(self):
+        rng = np.random.default_rng(30)
+        a = np.column_stack([rng.uniform(0, 50, (40, 2)), rng.uniform(0, 30, (40, 2))])
+        b = np.column_stack([rng.uniform(0, 50, (30, 2)), rng.uniform(0, 30, (30, 2))])
+        got = pair_iou(a[:, None, :], b[None, :, :])
+        assert got.shape == (40, 30)
+        assert got.tobytes() == self.scalar_grid(a, b).tobytes()
+
+    def test_integer_grid_boxes(self):
+        # small integer boxes: many touching edges, nested boxes and tied IoUs
+        rng = np.random.default_rng(31)
+        boxes = rng.integers(0, 6, (50, 4)).astype(float)
+        got = pair_iou(boxes[:, None, :], boxes[None, :, :])
+        assert got.tobytes() == self.scalar_grid(boxes, boxes).tobytes()
 
 
 class TestMatching:
@@ -296,6 +345,83 @@ class TestIndexedEvaluate:
             assert evaluate(dets, data, ts) == loop_evaluate(dets, data, ts)
 
 
+class TestColumnarEvaluate:
+    """A ``DetectionTable``, the same detections as a list, and the loop oracle
+    give the very same report."""
+
+    @staticmethod
+    def check(dets, data, **kw):
+        report = evaluate(DetectionTable.from_detections(dets), data, **kw)
+        assert report == evaluate(dets, data, **kw) == loop_evaluate(dets, data, **kw)
+        return report
+
+    def test_several_boxes_per_image_and_category(self):
+        rng = np.random.default_rng(40)
+        for categories in ((1,), (1, 2)):
+            for _ in range(4):
+                dets, data = dense_fixture(rng, 60, dets_per_image=30, categories=categories)
+                crowded = sum(1 for im in data.images
+                              for c in categories if [cat for _, cat in im.instances].count(c) > 1)
+                assert crowded >= 5
+                for max_dets in (100, 7, 1):
+                    self.check(dets, data, max_dets=max_dets)
+
+    def test_equal_iou_goes_to_the_first_box(self):
+        left, right = BBox(-1, 0, 10, 10), BBox(1, 0, 10, 10)
+        dets = [Detection(1, BBox(0, 0, 10, 10), 1, 0.9),  # IoU 90/110 with either box
+                Detection(1, BBox(-1, 0, 10, 10), 1, 0.8)]  # IoU 1 with left, 80/120 with right
+        assert iou(dets[0].box, left) == iou(dets[0].box, right)
+        miss = average_precision([(0.9, True), (0.8, False)], 2)
+        for first, second, map75 in ((right, left, 1.0), (left, right, miss)):
+            img = AnnotatedImage(id=1, width=20, height=10, instances=[(first, 1), (second, 1)])
+            report = self.check(dets, Dataset(images=[img], categories={1: "a"}))
+            # the 0.9 detection takes ``first``; the 0.8 one then matches at 0.75
+            # only when the box left to it is its own exact copy
+            assert (report.map50, report.map75) == (1.0, map75)
+
+    def test_equal_scores(self):
+        rng = np.random.default_rng(41)
+        for grid in (1, 2, 5):
+            dets, data = dense_fixture(rng, 80, categories=(1, 2), tie_grid=grid)
+            self.check(dets, data)
+            self.check(dets, data, max_dets=1)
+
+    def test_unknown_images_and_categories(self):
+        rng = np.random.default_rng(42)
+        dets, data = dense_fixture(rng, 50)
+        strays = [Detection(image_id, BBox(1, 1, 20, 20), c, 0.99)
+                  for image_id in (-5, 0, 51, 2**62) for c in (1, 2, 3, 9)]
+        mixed = strays[:7] + dets + strays[7:]
+        assert self.check(mixed, data) == evaluate(dets, data)
+        self.check(mixed, data, max_dets=1)
+
+    def test_loaded_table(self, tmp_path):
+        rng = np.random.default_rng(43)
+        dets, data = dense_fixture(rng, 40, tie_grid=10)
+        path = tmp_path / "dets.json"
+        path.write_text(json.dumps([{"image_id": d.image_id, "category_id": d.category_id,
+                                     "bbox": [d.box.x, d.box.y, d.box.w, d.box.h],
+                                     "score": d.score} for d in dets]))
+        assert evaluate(load_detections(path), data) == self.check(dets, data)
+
+    def test_empty_table(self):
+        img = AnnotatedImage(id=1, width=10, height=10, instances=[(BBox(0, 0, 5, 5), 1)])
+        data = Dataset(images=[img], categories={1: "a"})
+        report = self.check([], data)
+        assert (report.map50, report.map75, report.mar100) == (0.0, 0.0, 0.0)
+
+    def test_ids_beyond_int64_rejected(self):
+        img = AnnotatedImage(id=2**63, width=10, height=10, instances=[(BBox(0, 0, 5, 5), 1)])
+        with pytest.raises(InvalidParam, match="int64"):
+            evaluate([Detection(2**63, BBox(0, 0, 5, 5), 1, 0.5)],
+                     Dataset(images=[img], categories={1: "a"}))
+
+    def test_negative_max_dets_rejected(self):
+        img = AnnotatedImage(id=1, width=10, height=10, instances=[(BBox(0, 0, 5, 5), 1)])
+        with pytest.raises(InvalidParam):
+            evaluate([], Dataset(images=[img], categories={1: "a"}), max_dets=-1)
+
+
 class TestSizeOrderedReport:
     def stats(self, ratios):
         return [CategoryStats(category_id=i + 1, name=f"c{i + 1}", instance_count=1,
@@ -328,9 +454,12 @@ class TestDetectionIO:
     def test_load_results_json(self, tmp_path):
         path = tmp_path / "dets.json"
         path.write_text('[{"image_id": 1, "category_id": 2, "bbox": [1, 2, 3, 4], "score": 0.5}]')
-        dets = load_detections(path)
-        assert dets[0].box == BBox(1, 2, 3, 4)
-        assert dets[0].category_id == 2
+        table = load_detections(path)
+        assert len(table) == 1
+        assert table.image_id.tolist() == [1] and table.image_id.dtype == np.int64
+        assert table.category_id.tolist() == [2] and table.category_id.dtype == np.int64
+        assert table.boxes.tolist() == [[1.0, 2.0, 3.0, 4.0]]
+        assert table.score.tolist() == [0.5]
 
     def test_malformed_entry(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -350,6 +479,46 @@ class TestDetectionIO:
         path.write_text(f"[{entry}]")
         with pytest.raises(ParseError, match="bad detection entry"):
             load_detections(path)
+
+    GOOD = {"image_id": 1, "category_id": 2, "bbox": [1, 2, 3, 4], "score": 0.5}
+    BAD = {
+        "negative-w": ({"image_id": 1, "category_id": 2, "bbox": [1, 2, -3, 4], "score": 0.5},
+                       "box extents must be >= 0"),
+        "score-1.5": ({"image_id": 1, "category_id": 2, "bbox": [1, 2, 3, 4], "score": 1.5},
+                      "detection score must be in [0, 1]"),
+        "not-an-object": ([1, 2, [1, 2, 3, 4], 0.5], "list indices must be integers"),
+        "five-values": ({"image_id": 1, "category_id": 2, "bbox": [1, 2, 3, 4, 5], "score": 0.5},
+                        "positional argument"),
+        "id-beyond-int64": ({"image_id": 2**63, "category_id": 2, "bbox": [1, 2, 3, 4],
+                             "score": 0.5}, "ids must fit in int64"),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD))
+    def test_first_bad_entry_named(self, tmp_path, case):
+        bad, words = self.BAD[case]
+        later = {"category_id": 2, "bbox": [1, 2, 3, 4], "score": 0.5}  # no image_id
+        path = tmp_path / "dets.json"
+        path.write_text(json.dumps([self.GOOD, self.GOOD, bad, later, bad]))
+        with pytest.raises(ParseError) as err:
+            load_detections(path)
+        assert str(err.value).startswith(f"bad detection entry {bad!r}: ")
+        assert words in str(err.value)
+
+    def test_string_and_float_ids_convert_as_int(self, tmp_path):
+        path = tmp_path / "dets.json"
+        path.write_text(json.dumps([self.GOOD, {"image_id": "3", "category_id": 2.9,
+                                                "bbox": ["1", 2, 3, 4], "score": "0.25"}]))
+        table = load_detections(path)
+        assert table.image_id.tolist() == [1, 3]
+        assert table.category_id.tolist() == [2, 2]
+        assert table.boxes.tolist() == [[1, 2, 3, 4], [1, 2, 3, 4]]
+        assert table.score.tolist() == [0.5, 0.25]
+
+    def test_empty_list(self, tmp_path):
+        path = tmp_path / "dets.json"
+        path.write_text("[]")
+        table = load_detections(path)
+        assert len(table) == 0 and table.boxes.shape == (0, 4)
 
     def test_score_validation(self):
         with pytest.raises(InvalidParam):
