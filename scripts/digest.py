@@ -20,6 +20,11 @@ Arrays enter a digest in checkpoint order, each with its name, dtype and
 shape.  Then ``run_ablation`` runs every placement, and each row of its
 CSV, without the ``iter_time_*`` columns, is printed with its digest.
 
+A ``full`` line digests the losses, parameters and moments of 2 full-size
+iterations (``tiny_config`` at 224x224, batch 1, ``none`` classification),
+where most tensors are large enough for ``train`` to step them inside the
+backward walk.
+
 Last, one fixed nano session of the ``railswin`` command (``stats``,
 ``preprocess --enhance cet``, a localization ``train`` on the preprocessed
 train split, then ``eval --dets`` and ``eval --checkpoint`` on the val
@@ -55,7 +60,7 @@ from railswin.cli import main as cli  # noqa: E402
 from railswin.config import to_dict  # noqa: E402
 from railswin.data.coco import save_dataset  # noqa: E402
 from railswin.metrics import evaluate, report_to_dict  # noqa: E402
-from railswin.swin import CbamPlacement, SwinBackbone, nano_config  # noqa: E402
+from railswin.swin import CbamPlacement, SwinBackbone, nano_config, tiny_config  # noqa: E402
 from railswin.synth import SyntheticSpec, generate_synthetic  # noqa: E402
 from railswin.tensor import Tensor, no_grad  # noqa: E402
 from railswin.train import (  # noqa: E402
@@ -73,6 +78,7 @@ TRAIN_IMAGES = 32
 VAL_IMAGES = 16
 SEED = 0
 DENSE_DETS = 20
+FULL_ITERATIONS = 2
 
 
 def sha(*parts):
@@ -119,6 +125,18 @@ def digest_run(placement, task, workdir):
         lines["outputs"] = sha(logits.data.tobytes())
     for key, value in lines.items():
         print(f"{placement.value}/{task} {key} {value}")
+
+
+def digest_full(workdir):
+    cfg = TrainConfig(swin=tiny_config(CbamPlacement.NONE, seed=SEED), seed=SEED,
+                      max_iterations=FULL_ITERATIONS, epochs=FULL_ITERATIONS, batch_size=1,
+                      task="classification",
+                      synthetic=SyntheticSpec(num_images=FULL_ITERATIONS, image_size=(224, 224),
+                                              seed=SEED))
+    result = train(cfg, out_dir=workdir)
+    with np.load(result.checkpoint_path) as blob:
+        arrays = arrays_sha(blob, ("param.", "adam_m.", "adam_v."))
+    print(f"full none/classification {sha(np.array(result.losses).tobytes(), arrays)}")
 
 
 def digest_maps(placement):
@@ -237,6 +255,8 @@ def main():
         print(f"ablation {sha(cells)} {cells}")
     with tempfile.TemporaryDirectory() as tmp:
         digest_cli(tmp)
+    with tempfile.TemporaryDirectory() as tmp:
+        digest_full(tmp)
 
 
 if __name__ == "__main__":

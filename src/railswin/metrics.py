@@ -158,18 +158,21 @@ def match_detections(dets, gts, iou_thresh):
 def average_precision(scored_labels, num_gt):
     """101-point interpolated AP from (score, is_tp) pairs.
 
-    Returns None when the category has no ground truth and no detections
-    (skipped); 0.0 when detections exist but no ground truth does.
+    ``scored_labels`` is a sequence of pairs or an [n, 2] array of them.
+    Ties in score keep their input order.  Returns None when the category
+    has no ground truth and no detections (skipped); 0.0 when detections
+    exist but no ground truth does.
     """
     if num_gt < 0:
         raise InvalidParam("num_gt must be >= 0")
     if num_gt == 0:
-        return None if not scored_labels else 0.0
-    ranked = sorted(range(len(scored_labels)), key=lambda i: -scored_labels[i][0])
-    tp = np.cumsum([1.0 if scored_labels[i][1] else 0.0 for i in ranked])
-    fp = np.cumsum([0.0 if scored_labels[i][1] else 1.0 for i in ranked])
-    if len(ranked) == 0:
+        return None if not len(scored_labels) else 0.0
+    pairs = np.asarray(scored_labels, dtype=np.float64).reshape(-1, 2)
+    if len(pairs) == 0:
         return 0.0
+    hit = pairs[np.argsort(-pairs[:, 0], kind="stable"), 1] != 0
+    tp = np.cumsum(hit, dtype=np.float64)
+    fp = np.cumsum(~hit, dtype=np.float64)
     recall = tp / num_gt
     precision = tp / (tp + fp)
     # max precision at recall >= r, swept from the right
@@ -290,10 +293,9 @@ def evaluate(dets, dataset, thresholds=(0.5, 0.75), max_dets=100):
     recall = {t: {} for t in thresholds}
     for k, c in enumerate(categories):
         part = slice(bounds[k], bounds[k + 1])
-        scores = score[part].tolist()
         n_gt = int(num_gt[k])
         for t, tp in zip(thresholds, tps):
-            ap[t][c] = average_precision(list(zip(scores, tp[part].tolist())), n_gt) or 0.0
+            ap[t][c] = average_precision(np.column_stack((score[part], tp[part])), n_gt) or 0.0
             recall[t][c] = int(np.count_nonzero(tp[part])) / n_gt
 
     t_lo, t_hi = min(thresholds), max(thresholds)

@@ -39,43 +39,58 @@ def adamw_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8, weight_de
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeMismatch("adamw_step: params/grads/state length mismatch")
-    b1, b2 = betas
     state.t += 1
-    bc1 = 1.0 - b1**state.t
-    bc2 = 1.0 - b2**state.t
+    scratch = np.empty(CHUNK), np.empty(CHUNK)
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        adamw_update(p, g, m, v, state.t, lr, betas, eps, weight_decay, scratch)
+    return state
+
+
+def adamw_update(p, g, m, v, t, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0,
+                 scratch=None):
+    """Step ``t`` of AdamW for one tensor ``p`` with gradient ``g`` and moments ``m``, ``v``.
+
+    ``adamw_step`` runs this for each of its tensors after advancing the
+    step counter; a caller that updates tensors one at a time advances the
+    counter itself.  An update reads no other tensor, so the order in which
+    tensors are updated changes no byte.  ``scratch`` is a pair of CHUNK-sized
+    buffers to reuse.
+    """
+    b1, b2 = betas
     decay = 1.0 - lr * weight_decay
+    if g is None:
+        if weight_decay:
+            p.data *= decay
+        return
+    if g.shape != p.data.shape:
+        raise ShapeMismatch(f"adamw_step: grad {g.shape} != param {p.data.shape}")
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    if scratch is None:
+        scratch = np.empty(CHUNK), np.empty(CHUNK)
     # Each tensor is updated CHUNK elements at a time, decay included, so
     # each block is read from memory once.  Two block-sized scratch buffers
     # hold every temporary.  Each ufunc call below is one operation of
     #   p *= 1 - lr*wd;  m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
     #   p -= (lr * (m/bc1)) / (sqrt(v/bc2) + eps)
     # in that order, so the update is bit-identical to the expression form.
-    buf1, buf2 = np.empty(CHUNK), np.empty(CHUNK)
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g is None:
-            if weight_decay:
-                p.data *= decay
-            continue
-        if g.shape != p.data.shape:
-            raise ShapeMismatch(f"adamw_step: grad {g.shape} != param {p.data.shape}")
-        for pc, gc, mc, vc, s1, s2 in _blocks(p.data, g, m, v, buf1, buf2):
-            if weight_decay:
-                pc *= decay
-            mc *= b1
-            np.multiply(gc, 1.0 - b1, out=s1)
-            mc += s1
-            vc *= b2
-            np.multiply(gc, 1.0 - b2, out=s1)
-            s1 *= gc
-            vc += s1
-            np.divide(mc, bc1, out=s1)
-            s1 *= lr
-            np.divide(vc, bc2, out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += eps
-            s1 /= s2
-            pc -= s1
-    return state
+    for pc, gc, mc, vc, s1, s2 in _blocks(p.data, g, m, v, *scratch):
+        if weight_decay:
+            pc *= decay
+        mc *= b1
+        np.multiply(gc, 1.0 - b1, out=s1)
+        mc += s1
+        vc *= b2
+        np.multiply(gc, 1.0 - b2, out=s1)
+        s1 *= gc
+        vc += s1
+        np.divide(mc, bc1, out=s1)
+        s1 *= lr
+        np.divide(vc, bc2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += eps
+        s1 /= s2
+        pc -= s1
 
 
 def _blocks(p, g, m, v, buf1, buf2):

@@ -403,8 +403,7 @@ def _attention_core(qkv, heads, bias_table=None, index=None, mask=None):
     q, k, v = (qkv.data[..., i * D:(i + 1) * D].reshape(lead + (Tsz, heads, hd))
                .transpose(heads_first) for i in range(3))
     scale = 1.0 / math.sqrt(hd)
-    qs = q * scale
-    scores = np.matmul(qs, np.swapaxes(k, -1, -2))
+    scores = np.matmul(q * scale, np.swapaxes(k, -1, -2))
     if bias_table is not None:
         np.add(scores, bias_table.data[index].transpose(2, 0, 1), out=scores)
     if mask is not None:
@@ -431,7 +430,7 @@ def _attention_core(qkv, heads, bias_table=None, index=None, mask=None):
         if qkv.requires_grad:
             dq = np.matmul(ds, k)
             dq *= scale
-            dkt = np.matmul(np.swapaxes(qs, -1, -2), ds)
+            dkt = np.matmul(np.swapaxes(q * scale, -1, -2), ds)  # q * scale is not kept
             dv = np.matmul(np.swapaxes(attn, -1, -2), go)
             dqkv = np.empty(qkv.shape)
             parts = dqkv.reshape(lead + (Tsz, 3, heads, hd))

@@ -6,7 +6,9 @@ replays it in reverse.  Gradients are zeroed at the start of each backward
 call, so repeated calls never accumulate across calls.
 ``backward(loss, release=True)`` frees each non-leaf node's gradient,
 inputs and closure as soon as its own backward has run, as training does;
-a released graph cannot be walked again.
+a released graph cannot be walked again.  ``backward(loss, on_final=fn)``
+hands each leaf to ``fn`` as soon as its gradient is final, so training
+can step a parameter and drop its gradient in the middle of the walk.
 
 A ``.grad`` may share memory with an upstream gradient (or with another
 tensor's ``.grad``) and is never modified in place: copy it before writing
@@ -404,8 +406,10 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     if gamma.shape != (D,) or beta.shape != (D,):
         raise ShapeMismatch(f"layer_norm: gamma/beta {gamma.shape}/{beta.shape} != ({D},)")
     # The centred input becomes xhat in place, and the buffer of its squares
-    # becomes y.
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    # becomes y.  Only mean and inv ([..., 1] each) are kept for backward,
+    # which rebuilds xhat from x.data with the same two ufuncs.
+    mean = x.data.mean(axis=-1, keepdims=True)
+    xhat = x.data - mean
     y = np.square(xhat)
     inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
     xhat *= inv
@@ -414,6 +418,8 @@ def layer_norm(x, gamma, beta, eps=1e-5):
 
     def backward(out):
         g = out.grad
+        xhat = x.data - mean
+        xhat *= inv
         tmp = None
         if x.requires_grad:
             # gx = (inv/D) * (D*gxhat - sum(gxhat) - xhat * sum(gxhat*xhat)), gxhat = g*gamma
@@ -697,7 +703,7 @@ def _topo_order(root):
     return order
 
 
-def backward(loss, release=False):
+def backward(loss, release=False, on_final=None):
     """Populate .grad on every requires_grad tensor reachable from ``loss``.
 
     Gradients of all tensors in the graph are reset first, so each call
@@ -707,6 +713,11 @@ def backward(loss, release=False):
     and closure right after its own backward has run, so a node nothing
     else references is freed during the walk with its activation.  Leaves
     keep their ``.grad``.  A released graph cannot be walked again.
+
+    ``on_final(leaf)`` is called once for each reachable ``requires_grad``
+    leaf, right after the backward of its last consumer in the walk: from
+    then on its ``.grad`` (None if no consumer passed it a gradient) is
+    final, and the callback may use, drop or write the leaf.
     """
     if loss.data.size != 1:
         raise NotScalar(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -714,8 +725,16 @@ def backward(loss, release=False):
         raise NoTape("loss has no tape: it was not produced through recorded operations, "
                      "or backward(..., release=True) already released it")
     order = _topo_order(loss)
+    # The walk runs ``order`` backwards, so a leaf's last consumer in the walk
+    # is the first node of ``order`` that lists it as an input.
+    finals, seen = {}, set()  # id(node) -> leaves whose gradient is final after it
     for node in order:
         node.grad = None
+        if on_final is not None:
+            for p in node._prev:
+                if p._backward is None and p.requires_grad and id(p) not in seen:
+                    seen.add(id(p))
+                    finals.setdefault(id(node), []).append(p)
     loss.grad = np.ones_like(loss.data)
     while order:
         node = order.pop()
@@ -723,6 +742,9 @@ def backward(loss, release=False):
             continue
         if node.grad is not None:
             node._backward(node)
+        if finals:
+            for p in finals.pop(id(node), ()):
+                on_final(p)
         if release:
             node.grad, node._prev, node._backward = None, (), None
 

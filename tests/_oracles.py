@@ -12,7 +12,8 @@ from railswin import swin as S
 from railswin import tensor as T
 from railswin.data.boxes import BBox
 from railswin.data.coco import AnnotatedImage, Dataset
-from railswin.metrics import Detection, MetricsReport, PerCategory, average_precision
+from railswin.metrics import (RECALL_GRID, Detection, MetricsReport, PerCategory,
+                              average_precision)
 from railswin.swin import relative_position_index
 
 
@@ -247,6 +248,24 @@ def oracle_adamw_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8, we
         v += (1.0 - b2) * g * g
         p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
     return state
+
+
+def oracle_average_precision(scored_labels, num_gt):
+    """``metrics.average_precision`` before it ranked with ``argsort``: Python
+    ``sorted`` and one list comprehension each for tp and fp."""
+    if num_gt == 0:
+        return None if not scored_labels else 0.0
+    ranked = sorted(range(len(scored_labels)), key=lambda i: -scored_labels[i][0])
+    tp = np.cumsum([1.0 if scored_labels[i][1] else 0.0 for i in ranked])
+    fp = np.cumsum([0.0 if scored_labels[i][1] else 1.0 for i in ranked])
+    if len(ranked) == 0:
+        return 0.0
+    recall = tp / num_gt
+    precision = tp / (tp + fp)
+    best = np.maximum.accumulate(precision[::-1])[::-1]
+    idx = np.searchsorted(recall, RECALL_GRID, side="left")
+    interp = np.where(idx < len(best), best[np.minimum(idx, len(best) - 1)], 0.0)
+    return float(np.mean(interp))
 
 
 def oracle_gelu(xd):

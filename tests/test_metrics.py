@@ -27,6 +27,7 @@ from _oracles import (
     dense_fixture,
     loop_evaluate,
     oracle_ap,
+    oracle_average_precision,
     oracle_evaluate,
     oracle_iou,
     random_fixture,
@@ -196,6 +197,29 @@ class TestAveragePrecision:
                 assert b is None
             else:
                 assert a == pytest.approx(b, abs=1e-12)
+
+    @pytest.mark.parametrize("scored,num_gt", [
+        ([], 0), ([], 3), ([(0.5, False)], 0),
+        ([(0.5, False), (0.4, False), (0.4, False)], 2),  # all false positives
+        ([(0.5, True), (0.5, False), (0.5, True), (0.5, False)], 3),  # one tie
+        ([(0.3, False), (0.7, True), (0.3, True), (0.7, False), (0.3, True)], 4),
+        ([(0.0, True), (1.0, False), (0.0, False)], 1),
+    ])
+    def test_equals_earlier_ranking(self, scored, num_gt):
+        """Stable argsort ranks ties in input order, as Python's sorted did."""
+        assert average_precision(scored, num_gt) == oracle_average_precision(scored, num_gt)
+
+    def test_equals_earlier_ranking_on_random_ties(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(0, 30))
+            scored = [(float(rng.integers(0, 5)) / 4, bool(rng.random() > 0.6))
+                      for _ in range(n)]
+            num_gt = int(rng.integers(0, 12))
+            expected = oracle_average_precision(scored, num_gt)
+            assert average_precision(scored, num_gt) == expected
+            pairs = np.array(scored, dtype=np.float64).reshape(-1, 2)
+            assert average_precision(pairs, num_gt) == expected
 
 
 class TestEvaluate:

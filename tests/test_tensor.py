@@ -1,5 +1,7 @@
 """Tensor-core op contracts, hand oracles, and finite-difference checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -378,6 +380,82 @@ class TestRelease:
             backward(loss)
 
 
+def _on_final_graph():
+    """A loss over leaves a, b, d, e and constant c, and the leaves that get a callback.
+
+    ``a`` has three consumers at different depths, ``e`` is one op's input
+    twice (``mul(e, e)``), and ``d``'s only consumer gets no gradient: a node
+    whose backward passes none on stands between it and the loss.
+    """
+    r = rng(7)
+    a, b, d, e = (Tensor(r.normal(size=(3, 4)), requires_grad=True) for _ in range(4))
+    c = Tensor(r.normal(size=(3, 4)))
+    y1 = a * b
+    y2 = T.gelu(y1) + a
+    y3 = T.softmax(y2 * c) * a
+    dd = d * 2.0
+    cut = T._make(dd.data.copy(), (dd,), lambda out: None)
+    loss = T.tsum(y3 + T.mul(e, e) + cut)
+    return loss, [a, b, d, e], c
+
+
+class TestOnFinal:
+    def _run(self, build, release):
+        """Callback order and gradients at call time, against a plain walk's."""
+        loss, leaves, *_ = build()
+        backward(loss)
+        plain = [None if t.grad is None else t.grad.copy() for t in leaves]
+        loss, leaves, *rest = build()
+        position = {id(t): k for k, t in enumerate(leaves)}
+        nodes = T._topo_order(loss)
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            g = plain[position[id(t)]]
+            assert (t.grad is None) == (g is None)
+            if g is not None:
+                assert np.array_equal(t.grad, g)
+
+        backward(loss, release=release, on_final=fn)
+        return calls, leaves, nodes, rest
+
+    @pytest.mark.parametrize("release", [False, True])
+    def test_once_per_leaf_with_its_final_gradient(self, release):
+        calls, leaves, nodes, (c,) = self._run(_on_final_graph, release)
+        assert sorted(map(id, calls)) == sorted(map(id, leaves))
+        assert all(t.requires_grad and t._backward is None for t in calls)
+        assert all(t is not c for t in calls)
+        assert leaves[2].grad is None  # d: its only consumer got no gradient
+        assert len(nodes) > len(leaves) + 6
+
+    @pytest.mark.parametrize("release", [False, True])
+    def test_nano_block_localization(self, release):
+        from railswin.swin import CbamPlacement
+
+        def build():
+            loss = _nano_loss(CbamPlacement.BLOCK, "localization")
+            leaves = [n for n in T._topo_order(loss) if n._backward is None and n.requires_grad]
+            return loss, leaves
+
+        calls, leaves, nodes, _ = self._run(build, release)
+        assert len(leaves) > 50
+        assert sorted(map(id, calls)) == sorted(map(id, leaves))
+
+    def test_callback_may_drop_the_gradient(self):
+        """A leaf's gradient is not read again after its callback."""
+        loss, leaves, _ = _on_final_graph()
+        dropped = []
+
+        def fn(t):
+            dropped.append(t.grad)
+            t.grad = None
+
+        backward(loss, release=True, on_final=fn)
+        assert all(t.grad is None for t in leaves)
+        assert sum(g is not None for g in dropped) == 3
+
+
 def _assert_grads_equal_to_oracle_accum(monkeypatch, build):
     """Run ``build()`` and backward twice, new ``_accum`` against the zeros-and-+= one."""
     def grads():
@@ -555,6 +633,28 @@ class TestRewrittenKernelOracles:
         x, r = self._inputs(shape, layout, 15)
         _assert_kernel_matches_oracle(T.softmax, oracle_softmax, [x * 4.0],
                                       self._grad(r, shape, layout))
+
+
+def retained_bytes(build):
+    """``build()``'s result and the bytes of memory still allocated after it returned."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = build()
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_layer_norm_keeps_one_input_sized_array():
+    """A recorded layer_norm holds its output, and only [..., 1] statistics
+    besides it: backward rebuilds the normalised input from x."""
+    r = rng(16)
+    x = Tensor(r.normal(size=(8, 28, 28, 96)), requires_grad=True)
+    gamma, beta = (Tensor(r.normal(size=(96,)), requires_grad=True) for _ in range(2))
+    out, held = retained_bytes(lambda: T.layer_norm(x, gamma, beta))
+    assert out._backward is not None
+    assert x.data.nbytes <= held < 1.25 * x.data.nbytes
 
 
 def test_gelu_0d_matches_oracle():

@@ -19,12 +19,14 @@ from railswin.data.coco import AnnotatedImage, Dataset, save_dataset
 from railswin.data.stats import category_stats
 from railswin.errors import InvalidParam, NonFiniteLoss, ParseError
 from railswin.metrics import evaluate
+from railswin.optim import CHUNK, AdamState, adamw_step
 from railswin.swin import CbamPlacement, SwinBackbone, nano_config, tiny_config
 from railswin.synth import SyntheticSpec, generate_synthetic
 from railswin.tensor import Tensor, no_grad
 from railswin.train import (
     IterTimingLog,
     TrainConfig,
+    _class_label,
     _image_tensor,
     bench,
     decode_detections,
@@ -297,6 +299,112 @@ class TestLoop:
                 gc.enable()
         assert len(refs) > 3 * 90
         assert alive == [0, 0, 0]
+
+
+def _plain_loop(cfg):
+    """``train``'s loop as it was before any tensor stepped inside the walk:
+    a plain ``backward``, then one ``adamw_step`` over every tensor."""
+    data = generate_synthetic(cfg.synthetic)
+    cat_index = {c: i for i, c in enumerate(sorted(data.categories))}
+    backbone = SwinBackbone(cfg.swin, in_channels=1)
+    head = init_head_params(cfg.swin, len(cat_index), cfg.task)
+    named = backbone.named_parameters() + head.named_parameters()
+    params = [t for _, t in named]
+    state = AdamState.init(params)
+    n = len(data.images)
+    per_epoch = -(-n // cfg.batch_size)
+    losses = []
+    for it in range(cfg.max_iterations):
+        order = np.random.default_rng([cfg.seed + 1, it // per_epoch]).permutation(n)
+        lo = (it % per_epoch) * cfg.batch_size
+        batch = [data.images[k] for k in order[lo:lo + cfg.batch_size]]
+        features = backbone.forward(_image_tensor(batch), head.stage + 1)
+        out = head_forward(features, head)
+        if cfg.task == "classification":
+            loss = T.cross_entropy(out, np.array([_class_label(im, cat_index) for im in batch]))
+        else:
+            loss = localization_loss(out, batch, features[head.stage].shape[-2:],
+                                     cfg.swin.stage_stride(head.stage), cat_index)
+        losses.append(loss.item())
+        T.backward(loss)
+        adamw_step(params, [p.grad for p in params], state, cfg.lr, cfg.betas, 1e-8,
+                   cfg.weight_decay)
+    return losses, named, state
+
+
+SPLIT_CASES = [("classification", CbamPlacement.NONE), ("localization", CbamPlacement.BLOCK)]
+
+
+class TestStepInsideTheWalk:
+    """``train`` steps each tensor of more than CHUNK values as soon as
+    ``backward`` has finished its gradient, and the rest after the walk."""
+
+    @pytest.mark.parametrize("threshold", ["every", "default", "none"])
+    @pytest.mark.parametrize("task,placement", SPLIT_CASES)
+    def test_same_bytes_as_the_plain_loop(self, tmp_path, monkeypatch, task, placement,
+                                          threshold):
+        from railswin import train as train_mod
+
+        monkeypatch.setattr(train_mod, "CHUNK", {"every": -1, "default": CHUNK,
+                                                 "none": 10**12}[threshold])
+        inner, after = [], []
+        update, step = train_mod.adamw_update, train_mod.adamw_step
+        monkeypatch.setattr(train_mod, "adamw_update",
+                            lambda p, *a, **k: inner.append(p.data.size) or update(p, *a, **k))
+        monkeypatch.setattr(train_mod, "adamw_step",
+                            lambda ps, *a, **k: after.append(len(ps)) or step(ps, *a, **k))
+        cfg = quick_cfg(task=task, iters=3, placement=placement)
+        res = train(cfg, out_dir=tmp_path)
+        losses, named, state = _plain_loop(cfg)
+
+        assert np.array(res.losses).tobytes() == np.array(losses).tobytes()
+        with np.load(res.checkpoint_path) as blob:
+            assert json.loads(str(blob["meta"]))["adam_t"] == state.t == 3
+            for (name, p), m, v in zip(named, state.m, state.v):
+                assert blob[f"param.{name}"].tobytes() == p.data.tobytes(), name
+                assert blob[f"adam_m.{name}"].tobytes() == m.tobytes(), name
+                assert blob[f"adam_v.{name}"].tobytes() == v.tobytes(), name
+        assert len(after) == 3 and len(inner) + sum(after) == 3 * len(named)
+        if threshold == "none":
+            assert inner == []
+        elif threshold == "default":
+            assert all(size > CHUNK for size in inner)
+        # nano's 7 tensors of more than CHUNK values all sit in the fourth stage,
+        # which localization does not run: they get no gradient and decay after the walk
+        large = 7 if threshold == "default" else len(named)
+        if task == "classification" and threshold != "none":
+            assert len(inner) == 3 * large
+        if task == "localization" and threshold == "every":
+            assert 0 < min(after) < len(named) // 2
+
+    @pytest.mark.parametrize("task,placement,threshold",
+                             [("classification", CbamPlacement.NONE, CHUNK),
+                              ("localization", CbamPlacement.BLOCK, CHUNK // 4)])
+    def test_no_other_large_gradient_is_alive_at_an_update(self, monkeypatch, task, placement,
+                                                          threshold):
+        """Localization lowers the threshold to reach the third stage's tensors."""
+        from railswin import train as train_mod
+
+        monkeypatch.setattr(train_mod, "CHUNK", threshold)
+        trees, checked = [], []
+        for name in ("SwinBackbone", "init_head_params"):
+            make = getattr(train_mod, name)
+            monkeypatch.setattr(train_mod, name,
+                                lambda *a, _make=make, **k: trees.append(_make(*a, **k))
+                                or trees[-1])
+        update = train_mod.adamw_update
+
+        def checking(p, *args, **kwargs):
+            others = [q for tree in trees for _, q in tree.named_parameters()
+                      if q is not p and q.data.size > threshold]
+            assert len(others) >= 6
+            assert all(q.grad is None for q in others)
+            checked.append(p)
+            return update(p, *args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "adamw_update", checking)
+        train(quick_cfg(task=task, iters=3, placement=placement))
+        assert len(checked) >= 3 * 4
 
 
 def _train_with_model(cfg, model):

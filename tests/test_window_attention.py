@@ -214,6 +214,22 @@ class TestNodeGradCheck:
         assert grad_check(lambda t: self._core(qkv, t), Tensor(rng(8).normal(size=(9, 2)))) < 1e-6
 
 
+def test_attention_core_keeps_no_scaled_query():
+    """A recorded attention core holds its output and the attention weights,
+    not a scaled copy of the queries: backward recomputes ``q * scale``."""
+    from test_tensor import retained_bytes
+
+    windows, tokens, heads, dim = 16, 49, 3, 96
+    qkv = Tensor(rng(9).normal(size=(windows, tokens, 3 * dim)), requires_grad=True)
+    table = Tensor(rng(10).normal(size=(13 * 13, heads)), requires_grad=True)
+    out, held = retained_bytes(
+        lambda: S._attention_core(qkv, heads, table, relative_position_index(7)))
+    assert out._backward is not None
+    attn = windows * heads * tokens * tokens * 8
+    query = windows * tokens * dim * 8
+    assert attn + out.data.nbytes <= held < attn + out.data.nbytes + query // 2
+
+
 class TestChecksStillRaise:
     def _params(self, window=2, heads=1, dim=4):
         return _init_block(dim, heads, window, 2.0, rng(0))
