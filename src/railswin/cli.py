@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 validation error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass, field
@@ -120,8 +119,7 @@ def cmd_preprocess(args):
         save_dataset(augmented, os.path.join(out, name))
         print(f"{name}: {len(augmented.images)} images "
               f"({len(plan.records)} synthesized)")
-    write_json(os.path.join(out, "plan.json"),
-               {name: json.loads(p.to_json()) for name, p in plans.items()})
+    write_json(os.path.join(out, "plan.json"), {name: p.to_dict() for name, p in plans.items()})
     return 0
 
 

@@ -138,6 +138,11 @@ def _scratch(shape):
     return s
 
 
+def _axis_view(buf, shape):
+    """A C-contiguous ``shape`` view of the first values of a scratch array."""
+    return buf.reshape(-1)[:shape[0] * shape[1]].reshape(shape)
+
+
 def _bilinear_sample(pixels, inv):
     """Resample with the inverse map; out-of-bounds reads contribute zero.
 
@@ -145,27 +150,39 @@ def _bilinear_sample(pixels, inv):
     weighted ``(1-wx)(1-wy)``, ``wx(1-wy)``, ``(1-wx)wy``, ``wx wy`` and summed
     in that order, then rounded and clipped to uint8.  Temporaries live in a
     per-shape ``_Scratch``; the result is always a fresh array.
+
+    A source coordinate whose map row has a zero x (y) coefficient is the
+    same in every column (row), so it is computed on one column (row) of
+    pixel centres, [H, 1] ([1, W]), and broadcast where taps and weights
+    combine: scale and translate work on H + W values per axis, not H * W.
+    A zero coefficient times a positive centre is the same zero for every
+    centre, so each value takes the same float operations either way.
     """
     H, W = pixels.shape[:2]
     s = _scratch(pixels.shape)
     s.padded[2:-2, 2:-2] = pixels
     ux, uy, wx, wy, w = s.f
     cx, cy, idx = s.i
-    # source coordinate per axis, (a*px + b*py) + c - 0.5, from 1-D centres
-    for f, (a, b, c) in ((ux, inv[0]), (uy, inv[1])):
-        f[...] = a * s.xc
-        np.add(f, (b * s.yc)[:, None], out=f)
+    axes = []
+    for (a, b, c), f, wf, i, n in ((inv[0], ux, wx, cx, W), (inv[1], uy, wy, cy, H)):
+        xs = s.xc if a != 0 else s.xc[:1]
+        ys = s.yc if b != 0 else s.yc[:1]
+        f, wf, i = (_axis_view(buf, (len(ys), len(xs))) for buf in (f, wf, i))
+        # source coordinate, (a*px + b*py) + c - 0.5, from 1-D centres
+        f[...] = a * xs
+        np.add(f, (b * ys)[:, None], out=f)
         np.add(f, c, out=f)
         np.subtract(f, 0.5, out=f)
-    # i = floor(f) cast to int64 and w = f - i; then f becomes 1 - w, and i
-    # the padded column (row) of i, clipped onto the zero border
-    for f, i, wf, n in ((ux, cx, wx, W), (uy, cy, wy, H)):
+        # i = floor(f) cast to int64 and w = f - i; then f becomes 1 - w, and
+        # i the padded column (row) of i, clipped onto the zero border
         np.floor(f, out=wf)
         np.copyto(i, wf, casting="unsafe")
         np.subtract(f, i, out=wf)
         np.subtract(1.0, wf, out=f)
         np.clip(i, -2, n, out=i)
         i += 2
+        axes.append((f, wf, i))
+    (ux, wx, cx), (uy, wy, cy) = axes
     cy *= W + 4
     np.add(cy, cx, out=idx)
     acc, taps = s.acc, s.taps

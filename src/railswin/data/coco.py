@@ -96,6 +96,10 @@ def parse_coco(doc, base_dir="", load_pixels=False):
             if os.path.exists(full) and full.endswith((".pgm", ".ppm", ".pnm")):
                 rec.pixels = read_pnm(full)
                 rec.channels = 1 if rec.pixels.ndim == 2 else 3
+                h, w = rec.pixels.shape[:2]
+                if (w, h) != (rec.width, rec.height):
+                    raise ParseError(f"{full}: image is {w}x{h}, but its entry says "
+                                     f"{rec.width}x{rec.height}")
         images[rec.id] = rec
 
     for ann in doc["annotations"]:

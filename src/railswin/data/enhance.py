@@ -2,8 +2,10 @@
 
 he      global histogram equalization (monotone intensity map)
 ahe     clip-limited tiled equalization, bilinearly blended between tiles
-cet     linear contrast stretch between two percentiles
+cet     linear contrast stretch between two percentiles, read from the level
+        histogram
 msrcp   multi-scale retinex on the intensity channel, chromaticity kept
+        (the only method that loads scipy, on its first call)
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from ..errors import InvalidParam
 
@@ -22,6 +23,8 @@ def _check_uint8(pixels):
         raise InvalidParam(f"enhancement expects 8-bit images, got {pixels.dtype}")
     if pixels.ndim not in (2, 3):
         raise InvalidParam(f"enhancement expects [H, W] or [H, W, 3], got {pixels.shape}")
+    if pixels.size == 0:
+        raise InvalidParam(f"enhancement expects a non-empty image, got {pixels.shape}")
     return pixels
 
 
@@ -92,20 +95,51 @@ def adaptive_equalize(pixels, tiles=(8, 8), clip_limit=2.0):
     return np.clip(np.rint(out), 0, 255).astype(np.uint8)
 
 
+def _percentiles(hist, q):
+    """``np.percentile`` (linear, Hyndman-Fan type 7) of the pixels counted in ``hist``.
+
+    The same float operations as numpy's: position ``(n - 1) * q``, the order
+    statistics at its floor and the next one, and the symmetric lerp.  The
+    k-th smallest pixel is the first level whose cumulative count exceeds k.
+    """
+    cdf = np.cumsum(hist)
+    n = int(cdf[-1])
+    pos = (n - 1) * q
+    k = np.floor(pos)
+    t = pos - k
+    k = k.astype(np.int64)
+    a = np.searchsorted(cdf, k, side="right").astype(np.float64)
+    b = np.searchsorted(cdf, np.minimum(k + 1, n - 1), side="right").astype(np.float64)
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+
+
 def contrast_stretch(pixels, p_low=2.0, p_high=98.0):
-    """Linear stretch of [p_low, p_high] percentiles onto [0, 255]."""
+    """Linear stretch of [p_low, p_high] percentiles onto [0, 255].
+
+    Colour channels pool into one histogram.  The map is computed once per
+    level as a 256-entry table, with the float operations a per-pixel map
+    would run, so the bytes equal a per-pixel stretch between
+    ``np.percentile`` values.
+    """
     pixels = _check_uint8(pixels)
     if not 0.0 <= p_low < p_high <= 100.0:
         raise InvalidParam(f"percentiles must satisfy 0 <= low < high <= 100, got ({p_low}, {p_high})")
-    lo, hi = np.percentile(pixels, [p_low, p_high])
+    hist = np.bincount(pixels.reshape(-1), minlength=256)
+    lo, hi = _percentiles(hist, np.true_divide([p_low, p_high], 100))
     if hi <= lo:
         return pixels.copy()
-    out = (pixels.astype(np.float64) - lo) * (255.0 / (hi - lo))
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    lut = (np.arange(256, dtype=np.float64) - lo) * (255.0 / (hi - lo))
+    lut = np.clip(np.rint(lut), 0, 255).astype(np.uint8)
+    return np.take(lut, pixels)
 
 
 def msrcp(pixels, scales=(15.0, 80.0, 250.0)):
     """Multi-scale retinex on intensity; color ratios preserved when present."""
+    # imported here: scipy.ndimage takes longer to import than the rest of
+    # the package, and no other method needs it
+    from scipy.ndimage import gaussian_filter
+
     pixels = _check_uint8(pixels)
     scales = tuple(scales)
     if not scales:

@@ -28,8 +28,8 @@ class AugmentPlan:
     split: str = "train"
     records: list = field(default_factory=list)
 
-    def to_json(self):
-        return json.dumps({
+    def to_dict(self):
+        return {
             "split": self.split,
             "seed": self.seed,
             "targets": {str(k): v for k, v in sorted(self.targets.items())},
@@ -37,7 +37,10 @@ class AugmentPlan:
                          "source_image_id": r.source_image_id,
                          "transforms": [list(t) for t in r.transforms]}
                         for r in self.records],
-        }, indent=1, sort_keys=True)
+        }
+
+    def to_json(self):
+        return json.dumps(self.to_dict(), indent=1, sort_keys=True)
 
 
 def _draw_chain(rng, width, height):

@@ -479,3 +479,15 @@ def oracle_bilinear_sample(pixels, inv):
             weight, valid = weight[..., None], valid[..., None]
         out += weight * np.where(valid, v, 0.0)
     return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+
+
+def oracle_contrast_stretch(pixels, p_low=2.0, p_high=98.0):
+    """The percentile stretch as first written: ``np.percentile``, then a float map per pixel.
+
+    ``railswin.data.enhance.contrast_stretch`` must return the same bytes.
+    """
+    lo, hi = np.percentile(pixels, [p_low, p_high])
+    if hi <= lo:
+        return pixels.copy()
+    out = (pixels.astype(np.float64) - lo) * (255.0 / (hi - lo))
+    return np.clip(np.rint(out), 0, 255).astype(np.uint8)

@@ -192,6 +192,38 @@ class TestResampler:
             for buf in (scratch.padded, scratch.taps, scratch.acc, *scratch.f, *scratch.i):
                 assert not np.shares_memory(out, buf)
 
+    @pytest.mark.parametrize("shape", [(128, 128), (96, 128), (2, 9), (1, 1), (96, 128, 3), (2, 9, 3)],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_per_axis_coordinates_match_oracle(self, shape):
+        """Maps whose rows read one axis (scale, translate, shear's y row, quarter
+        turns) or none (a row with both coefficients 0, signed zeros included)."""
+        rng = np.random.default_rng(sum(shape) + 1)
+        H, W = shape[:2]
+        pixels = rng.integers(0, 256, shape).astype(np.uint8)
+        maps = [random_inverse(rng, kind, W, H)
+                for kind in ("scale", "translate", "shear", "quarter") for _ in range(3)]
+        for zero in (0.0, -0.0):
+            for row in (0, 1):
+                inv = random_inverse(rng, "wild", W, H)
+                inv[row, :2] = zero
+                maps.append(inv)
+            maps.append(np.array([[zero, zero, 3.25], [zero, -zero, -1.5], [0.0, 0.0, 1.0]]))
+        for inv in maps:
+            assert_same_bytes(A._bilinear_sample(pixels, inv), oracle_bilinear_sample(pixels, inv))
+
+    @pytest.mark.parametrize("shape", [(24, 20), (24, 20, 3)])
+    def test_separable_and_full_maps_share_a_scratch(self, shape):
+        """A one-axis map right after a two-axis map on the same scratch, and the reverse."""
+        rng = np.random.default_rng(21)
+        H, W = shape[:2]
+        kinds = ["rotate", "scale", "wild", "translate", "shear", "quarter", "rotate",
+                 "translate", "scale", "wild"]
+        for kind in kinds * 2:
+            pixels = rng.integers(0, 256, shape).astype(np.uint8)
+            inv = random_inverse(rng, kind, W, H)
+            assert_same_bytes(A._bilinear_sample(pixels, inv), oracle_bilinear_sample(pixels, inv))
+            assert A._local.scratch.shape == shape
+
     def test_alternating_sizes_keep_one_scratch(self):
         rng = np.random.default_rng(8)
         for shape in [(20, 16), (9, 13, 3), (20, 16)]:

@@ -118,6 +118,28 @@ def test_preprocess_rejects_bad_targets_file(workspace, capsys, content):
     assert not (tmp / "p3").exists()
 
 
+@pytest.mark.parametrize("header", [b"P5 0 4 255\n", b"P5 4 5 255\n", b"P5 5 3 255\n"],
+                         ids=["zero-width", "transposed", "short"])
+@pytest.mark.parametrize("enhance", ["cet", "he", None])
+def test_preprocess_rejects_pixels_of_another_size(workspace, capsys, header, enhance):
+    """An entry of 5x4 whose PGM header says otherwise: exit 1, one line, no output."""
+    tmp, ann, _ = workspace
+    doc = json.loads(Path(ann).read_text())
+    doc["images"][0].update(width=5, height=4, file_name="a.pgm")
+    doc["annotations"] = [a for a in doc["annotations"] if a["image_id"] != doc["images"][0]["id"]]
+    Path(ann).write_text(json.dumps(doc))
+    w, h = (int(v) for v in header.split()[1:3])
+    (Path(ann).parent / "a.pgm").write_bytes(header + bytes(w * h))
+    targets = tmp / "targets.json"
+    targets.write_text(json.dumps({"fraction": 0.75, "train": {"dark-blob": 12}, "val": {}}))
+    argv = ["preprocess", str(ann), "--augment-plan", str(targets), "--out", str(tmp / "p")]
+    assert main(argv + (["--enhance", enhance] if enhance else [])) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "a.pgm" in err and f"{w}x{h}" in err and "5x4" in err
+    assert not (tmp / "p").exists()
+
+
 @pytest.mark.parametrize("where", ["ground-truth", "detection"])
 def test_eval_rejects_nan_box(workspace, capsys, where):
     tmp, ann, _ = workspace

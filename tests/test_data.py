@@ -136,6 +136,21 @@ class TestCocoLoading:
         assert np.array_equal(loaded.images[0].pixels, img.pixels)
         assert loaded.images[0].instances == img.instances
 
+    @pytest.mark.parametrize("payload", [b"P5 0 4 255\n", b"P5\n4 5\n255\n" + bytes(20),
+                                         b"P5 5 3 255\n" + bytes(15), b"P6 5 3 255\n" + bytes(45)],
+                             ids=["zero-width", "transposed", "short", "colour-short"])
+    def test_pixels_must_match_entry_size(self, tmp_path, payload):
+        """A PNM whose header disagrees with its entry's 5x4 is a ParseError naming both."""
+        doc = {"images": [{"id": 1, "width": 5, "height": 4, "file_name": "a.pgm"}],
+               "annotations": [], "categories": [{"id": 1, "name": "x"}]}
+        (tmp_path / "a.pgm").write_bytes(payload)
+        (tmp_path / "ann.json").write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="a.pgm") as e:
+            load_coco(tmp_path / "ann.json")
+        w, h = (int(v) for v in payload.split()[1:3])
+        assert f"{w}x{h}" in str(e.value) and "5x4" in str(e.value)
+        assert load_coco(tmp_path / "ann.json", load_pixels=False).images[0].pixels is None
+
     def test_regenerated_doc_shape(self):
         img = AnnotatedImage(id=4, width=10, height=10,
                              instances=[(BBox(0, 0, 3, 3), 1)])

@@ -1,10 +1,16 @@
 """Intensity enhancement: CDF oracles, monotonicity, parameter validation."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from _oracles import oracle_contrast_stretch
 
+import railswin
 from railswin.data.coco import AnnotatedImage
-from railswin.data.enhance import adaptive_equalize, contrast_stretch, enhance, hist_equalize, msrcp
+from railswin.data.enhance import _percentiles, adaptive_equalize, contrast_stretch, enhance, hist_equalize, msrcp
 from railswin.errors import InvalidParam
 
 
@@ -83,6 +89,89 @@ class TestContrastStretch:
             contrast_stretch(img, 90, 10)
         with pytest.raises(InvalidParam):
             contrast_stretch(img, -1, 98)
+
+
+def stretch_images(rng):
+    """Random, two-level, constant, 1x1, odd-sized and colour images, several of each."""
+    for shape in [(32, 32), (128, 128), (7, 5), (1, 1), (1, 9), (33, 47), (12, 10, 3), (1, 1, 3)]:
+        for _ in range(6):
+            yield rng.integers(0, 256, shape).astype(np.uint8)
+            lo, hi = sorted(rng.integers(0, 256, 2))
+            yield rng.integers(lo, hi + 1, shape).astype(np.uint8)  # a narrow band
+            yield rng.choice(rng.integers(0, 256, 2), shape).astype(np.uint8)  # two levels
+            skew = rng.integers(0, 256, shape) ** 2 // 255  # most pixels dark
+            yield skew.astype(np.uint8)
+        yield np.full(shape, rng.integers(0, 256), np.uint8)
+        yield np.zeros(shape, np.uint8)
+        yield np.full(shape, 255, np.uint8)
+
+
+class TestStretchFromHistogram:
+    """The histogram-read percentiles give the bytes of ``np.percentile``'s."""
+
+    @pytest.mark.parametrize("percentiles", [(2, 98), (0, 100), (10, 90), (2.0, 98.0),
+                                             (0, 0.5), (99.5, 100), (33.3, 66.7)])
+    def test_matches_oracle(self, percentiles):
+        rng = np.random.default_rng(int(sum(percentiles) * 10))
+        for img in stretch_images(rng):
+            got = contrast_stretch(img, *percentiles)
+            want = oracle_contrast_stretch(img, *percentiles)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want), (img.shape, percentiles)
+
+    def test_random_percentiles_match_oracle(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            shape = tuple(int(v) for v in rng.integers(1, 40, 2)) + ((3,) if rng.random() < 0.3 else ())
+            img = rng.integers(0, 256, shape).astype(np.uint8)
+            p_low, p_high = sorted(rng.uniform(0.0, 100.0, 2))
+            assert np.array_equal(contrast_stretch(img, p_low, p_high),
+                                  oracle_contrast_stretch(img, p_low, p_high))
+
+    def test_percentiles_equal_numpys(self):
+        """The two levels themselves, to the last bit, where the stretch would hide a rounding slip."""
+        rng = np.random.default_rng(13)
+        for _ in range(400):
+            n = int(rng.integers(1, 300)) if rng.random() < 0.8 else int(rng.integers(300, 20000))
+            img = rng.integers(0, int(rng.integers(1, 257)), n).astype(np.uint8)
+            q = sorted(rng.uniform(0.0, 100.0, 2)) if rng.random() < 0.8 else [2.0, 98.0]
+            hist = np.bincount(img, minlength=256)
+            got = _percentiles(hist, np.true_divide(q, 100))
+            want = np.percentile(img, q)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, q)
+
+    def test_colour_channels_pool_into_one_map(self):
+        rng = np.random.default_rng(12)
+        img = np.stack([rng.integers(0, 60, (9, 9)), rng.integers(60, 200, (9, 9)),
+                        rng.integers(200, 256, (9, 9))], axis=2).astype(np.uint8)
+        out = contrast_stretch(img)
+        lut = lut_of(contrast_stretch, img)
+        assert all(out.reshape(-1)[k] == lut[int(v)] for k, v in enumerate(img.reshape(-1)))
+        assert not np.array_equal(out[..., 0], contrast_stretch(img[..., 0]))
+
+    def test_result_is_fresh(self):
+        img = np.arange(64, dtype=np.uint8).reshape(8, 8)
+        for p in ((2, 98), (0, 100)):
+            out = contrast_stretch(img, *p)
+            assert not np.shares_memory(out, img)
+        flat = np.full((4, 4), 9, np.uint8)
+        assert not np.shares_memory(contrast_stretch(flat), flat)
+
+
+@pytest.mark.parametrize("fn", [hist_equalize, adaptive_equalize, contrast_stretch, msrcp],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("shape", [(0, 0), (4, 0), (0, 5), (0, 5, 3)])
+def test_empty_image_rejected(fn, shape):
+    with pytest.raises(InvalidParam, match="non-empty"):
+        fn(np.zeros(shape, np.uint8))
+
+
+def test_import_leaves_scipy_unloaded():
+    """scipy loads on the first msrcp call, not with the package."""
+    code = "import sys, railswin, railswin.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(railswin.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestAdaptiveEqualize:

@@ -1,6 +1,7 @@
 """Balance planner and train/val splitting: determinism, targets, replay."""
 
 import importlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from _oracles import oracle_bilinear_sample
 
 from railswin.data.planner import plan_and_execute_augmentation, replay_plan, split_train_val
 from railswin.errors import InvalidParam
+from railswin.files import write_json
 from railswin.synth import SyntheticSpec, generate_synthetic
 
 
@@ -60,6 +62,16 @@ class TestPlanner:
         p2, out2 = plan_and_execute_augmentation(data, targets, seed=9)
         assert p1.to_json() == p2.to_json()
         assert datasets_equal(out1, out2)
+
+    def test_dict_writes_the_bytes_of_the_parsed_json(self, tmp_path):
+        """plan.json is written from ``to_dict``; a round trip through ``to_json`` adds nothing."""
+        data = dataset()
+        targets = {cid: data.image_count(cid) + 6 for cid in data.categories}
+        plan, _ = plan_and_execute_augmentation(data, targets, seed=3)
+        assert plan.records and json.loads(plan.to_json()) == plan.to_dict()
+        write_json(tmp_path / "direct.json", {"train": plan.to_dict()})
+        write_json(tmp_path / "parsed.json", {"train": json.loads(plan.to_json())})
+        assert (tmp_path / "direct.json").read_bytes() == (tmp_path / "parsed.json").read_bytes()
 
     def test_different_seeds_differ(self):
         data = dataset()
