@@ -10,8 +10,11 @@ Prints one JSON document of median and min milliseconds over REPEATS runs
   224x224);
 - ``adamw_step``: one step with random gradients over the full-size
   backbone's parameters (few large tensors, bound by memory traffic) and
-  over what a nano ``block`` classification run steps (backbone and head:
-  many small tensors, bound by per-tensor Python overhead);
+  over the tensors of a nano ``block`` classification run (backbone and
+  head: many small tensors, bound by per-tensor Python overhead).  This
+  times the batch API; ``train`` calls no ``adamw_step`` but updates each
+  tensor inside the backward walk, so its update time is part of the
+  ``nano_iteration`` and ``full`` rows;
 - ``nano_iteration``: one training iteration at batch 16 for placements
   ``none`` and ``block``, from ``train.bench`` after its warmup;
 - ``full``: one full-size forward under ``no_grad`` and one training

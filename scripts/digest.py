@@ -22,8 +22,8 @@ CSV, without the ``iter_time_*`` columns, is printed with its digest.
 
 A ``full`` line digests the losses, parameters and moments of 2 full-size
 iterations (``tiny_config`` at 224x224, batch 1, ``none`` classification),
-where most tensors are large enough for ``train`` to step them inside the
-backward walk.
+where the tensors ``train`` steps inside the backward walk are large
+enough to span many of ``optim.CHUNK``'s cache blocks.
 
 Last, one fixed nano session of the ``railswin`` command (``stats``,
 ``preprocess --enhance cet``, a localization ``train`` on the preprocessed

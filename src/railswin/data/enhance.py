@@ -39,7 +39,7 @@ def hist_equalize(pixels):
     if pixels.ndim == 3:
         return np.stack([hist_equalize(pixels[..., c]) for c in range(pixels.shape[2])], axis=2)
     hist = np.bincount(pixels.reshape(-1), minlength=256)
-    return _equalize_lut(hist, pixels.size)[pixels]
+    return np.take(_equalize_lut(hist, pixels.size), pixels)
 
 
 def _clipped_hist(tile, clip_limit):

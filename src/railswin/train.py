@@ -19,7 +19,7 @@ from .errors import DatasetEmpty, InvalidParam, NonFiniteLoss, ParseError, Shape
 from .files import atomic_open, csv_text, read_json, write_text
 from .metrics import Detection, evaluate
 from .data.boxes import BBox
-from .optim import CHUNK, AdamState, adamw_step, adamw_update
+from .optim import CHUNK, AdamState, adamw_update
 from .swin import CbamPlacement, SwinBackbone, SwinConfig, map_to_grid
 from .synth import SyntheticSpec, generate_synthetic
 from .tensor import Tensor, backward, no_grad
@@ -374,11 +374,11 @@ def train(cfg, out_dir=None, resume=None, data=None):
     params = [t for _, t in backbone.named_parameters() + head.named_parameters()]
     if resume is None:
         adam_state = AdamState.init(params)
-    # Tensors of more than CHUNK values, nearly all of the memory, are
-    # stepped inside the walk as soon as their gradient is final, so the
-    # gradients of the late stages are gone before the walk reaches the
-    # early stages' activations.  The rest are stepped after the walk.
-    large = {id(p): i for i, p in enumerate(params) if p.data.size > CHUNK}
+    # Every tensor is stepped inside the walk as soon as its gradient is
+    # final, so the gradients of the late stages are gone before the walk
+    # reaches the early stages' activations.
+    moments = {id(p): (p, m, v) for p, m, v in zip(params, adam_state.m, adam_state.v)}
+    scratch = np.empty(CHUNK), np.empty(CHUNK)
 
     n = len(data.images)
     iters_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
@@ -416,27 +416,21 @@ def train(cfg, out_dir=None, resume=None, data=None):
             raise NonFiniteLoss(f"loss became {value} at iteration {iteration + 1}")
         # the loss alone holds the tape now, so releasing frees it as backward walks
         del x, features, out
-        t = adam_state.t + 1
-        stepped = set()
+        adam_state.t += 1
+        # what the walk never reaches (stages the forward skips) only decays
+        unreached = dict(moments)
 
-        def step_final(p):
-            i = large.get(id(p))
-            if i is not None and p.grad is not None:
-                adamw_update(p, p.grad, adam_state.m[i], adam_state.v[i], t, cfg.lr,
-                             cfg.betas, 1e-8, cfg.weight_decay)
-                p.grad = None
-                stepped.add(i)
-
-        backward(loss, release=True, on_final=step_final)
-        del loss
-        rest = [i for i in range(len(params)) if i not in stepped]
-        adamw_step([params[i] for i in rest], [params[i].grad for i in rest],
-                   AdamState(m=[adam_state.m[i] for i in rest],
-                             v=[adam_state.v[i] for i in rest], t=adam_state.t),
-                   cfg.lr, cfg.betas, 1e-8, cfg.weight_decay)
-        adam_state.t = t
-        for p in params:
+        def step(p):
+            _, m, v = unreached.pop(id(p))
+            adamw_update(p, p.grad, m, v, adam_state.t, cfg.lr, cfg.betas, 1e-8,
+                         cfg.weight_decay, scratch)
             p.grad = None
+
+        backward(loss, release=True, on_final=step)
+        del loss
+        for p, m, v in unreached.values():
+            adamw_update(p, None, m, v, adam_state.t, cfg.lr, cfg.betas, 1e-8,
+                         cfg.weight_decay, scratch)
         losses.append(value)
         timing.seconds.append(time.perf_counter() - t0)
         iteration += 1

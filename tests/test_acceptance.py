@@ -360,18 +360,27 @@ def test_criterion_9_training_gate():
 
 
 def test_criterion_10_overhead_direction():
-    """Block-level insertion costs more per iteration than none, below 2x."""
-    means = {}
-    for placement in (CbamPlacement.NONE, CbamPlacement.BLOCK):
-        cfg = TrainConfig(swin=nano_config(placement=placement, seed=0), seed=0,
-                          synthetic=SyntheticSpec(num_images=64, seed=0))
-        log = bench(cfg, 40)
-        means[placement.value] = log.mean()
-    ratio = means["block"] / means["none"]
+    """Block-level insertion costs more per iteration than none, below 2x.
+
+    The placements' ``bench`` calls alternate in one process and each
+    side's measured iterations are pooled, so a change of host speed hits
+    both sides.  Contention only adds time to an iteration, so each side
+    is read by its lower quartile, which a few slowed iterations do not move.
+    """
+    pooled = {CbamPlacement.NONE: [], CbamPlacement.BLOCK: []}
+    for _ in range(8):
+        for placement, seconds in pooled.items():
+            cfg = TrainConfig(swin=nano_config(placement=placement, seed=0), seed=0,
+                              synthetic=SyntheticSpec(num_images=64, seed=0))
+            seconds += bench(cfg, 15).retained()
+    assert all(len(seconds) == 80 for seconds in pooled.values())
+    q1 = {placement.value: float(np.percentile(seconds, 25))
+          for placement, seconds in pooled.items()}
+    ratio = q1["block"] / q1["none"]
     assert ratio > 1.0
     assert ratio < 2.0
-    report(10, f"iteration time none {means['none'] * 1000:.1f}ms, "
-               f"block {means['block'] * 1000:.1f}ms, ratio {ratio:.2f} (measured)")
+    report(10, f"lower-quartile iteration time none {q1['none'] * 1000:.1f}ms, "
+               f"block {q1['block'] * 1000:.1f}ms, ratio {ratio:.2f} (measured)")
 
 
 def test_criterion_11_determinism(tmp_path):

@@ -10,7 +10,7 @@ from _oracles import oracle_contrast_stretch
 
 import railswin
 from railswin.data.coco import AnnotatedImage
-from railswin.data.enhance import _percentiles, adaptive_equalize, contrast_stretch, enhance, hist_equalize, msrcp
+from railswin.data.enhance import _equalize_lut, _percentiles, adaptive_equalize, contrast_stretch, enhance, hist_equalize, msrcp
 from railswin.errors import InvalidParam
 
 
@@ -54,6 +54,20 @@ class TestHistEqualize:
     def test_rejects_non_uint8(self):
         with pytest.raises(InvalidParam):
             hist_equalize(np.zeros((4, 4), np.float32))
+
+    @pytest.mark.parametrize("shape", [(128, 128), (33, 47), (1, 1), (12, 10, 3), (1, 1, 3)])
+    @pytest.mark.parametrize("kind", ["random", "constant"])
+    def test_matches_indexing_the_table(self, shape, kind):
+        rng = np.random.default_rng(sum(shape))
+        img = (rng.integers(0, 256, shape) if kind == "random" else np.full(shape, 201))
+        img = img.astype(np.uint8)
+        out = hist_equalize(img)
+        channels = [img] if img.ndim == 2 else [img[..., c] for c in range(img.shape[2])]
+        want = [_equalize_lut(np.bincount(ch.reshape(-1), minlength=256), ch.size)[ch]
+                for ch in channels]
+        want = want[0] if img.ndim == 2 else np.stack(want, axis=2)
+        assert out.dtype == want.dtype and out.shape == want.shape
+        assert np.array_equal(out, want)
 
 
 class TestContrastStretch:

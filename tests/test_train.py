@@ -19,7 +19,7 @@ from railswin.data.coco import AnnotatedImage, Dataset, save_dataset
 from railswin.data.stats import category_stats
 from railswin.errors import InvalidParam, NonFiniteLoss, ParseError
 from railswin.metrics import evaluate
-from railswin.optim import CHUNK, AdamState, adamw_step
+from railswin.optim import AdamState, adamw_step
 from railswin.swin import CbamPlacement, SwinBackbone, nano_config, tiny_config
 from railswin.synth import SyntheticSpec, generate_synthetic
 from railswin.tensor import Tensor, no_grad
@@ -273,10 +273,11 @@ class TestLoop:
     @pytest.mark.parametrize("task,placement", [("classification", CbamPlacement.NONE),
                                                 ("localization", CbamPlacement.BLOCK)])
     def test_no_tape_is_alive_at_an_optimizer_step(self, monkeypatch, task, placement):
-        """With gc off, no recorded node's data outlives the backward that walked it."""
+        """With gc off, no recorded node's data outlives the backward that walked it:
+        none is alive when the next iteration builds its batch, or after ``train``."""
         from railswin import train as train_mod
 
-        make, step, refs, alive = T._make, train_mod.adamw_step, [], []
+        make, batch, refs, alive = T._make, train_mod._image_tensor, [], []
 
         def recording(data, inputs, backward_fn):
             out = make(data, inputs, backward_fn)
@@ -286,19 +287,20 @@ class TestLoop:
 
         def counting(*args, **kwargs):
             alive.append(sum(r() is not None for r in refs))
-            return step(*args, **kwargs)
+            return batch(*args, **kwargs)
 
         monkeypatch.setattr(T, "_make", recording)
-        monkeypatch.setattr(train_mod, "adamw_step", counting)
+        monkeypatch.setattr(train_mod, "_image_tensor", counting)
         enabled = gc.isenabled()
         gc.disable()
         try:
             train(quick_cfg(task=task, iters=3, placement=placement))
+            alive.append(sum(r() is not None for r in refs))
         finally:
             if enabled:
                 gc.enable()
         assert len(refs) > 3 * 90
-        assert alive == [0, 0, 0]
+        assert alive == [0, 0, 0, 0]
 
 
 def _plain_loop(cfg):
@@ -336,23 +338,17 @@ SPLIT_CASES = [("classification", CbamPlacement.NONE), ("localization", CbamPlac
 
 
 class TestStepInsideTheWalk:
-    """``train`` steps each tensor of more than CHUNK values as soon as
-    ``backward`` has finished its gradient, and the rest after the walk."""
+    """``train`` steps each tensor as soon as ``backward`` has finished its
+    gradient; the tensors the walk never reaches only decay after it."""
 
-    @pytest.mark.parametrize("threshold", ["every", "default", "none"])
     @pytest.mark.parametrize("task,placement", SPLIT_CASES)
-    def test_same_bytes_as_the_plain_loop(self, tmp_path, monkeypatch, task, placement,
-                                          threshold):
+    def test_same_bytes_as_the_plain_loop(self, tmp_path, monkeypatch, task, placement):
         from railswin import train as train_mod
 
-        monkeypatch.setattr(train_mod, "CHUNK", {"every": -1, "default": CHUNK,
-                                                 "none": 10**12}[threshold])
-        inner, after = [], []
-        update, step = train_mod.adamw_update, train_mod.adamw_step
+        updates = []
+        update = train_mod.adamw_update
         monkeypatch.setattr(train_mod, "adamw_update",
-                            lambda p, *a, **k: inner.append(p.data.size) or update(p, *a, **k))
-        monkeypatch.setattr(train_mod, "adamw_step",
-                            lambda ps, *a, **k: after.append(len(ps)) or step(ps, *a, **k))
+                            lambda p, *a, **k: updates.append(p) or update(p, *a, **k))
         cfg = quick_cfg(task=task, iters=3, placement=placement)
         res = train(cfg, out_dir=tmp_path)
         losses, named, state = _plain_loop(cfg)
@@ -364,28 +360,21 @@ class TestStepInsideTheWalk:
                 assert blob[f"param.{name}"].tobytes() == p.data.tobytes(), name
                 assert blob[f"adam_m.{name}"].tobytes() == m.tobytes(), name
                 assert blob[f"adam_v.{name}"].tobytes() == v.tobytes(), name
-        assert len(after) == 3 and len(inner) + sum(after) == 3 * len(named)
-        if threshold == "none":
-            assert inner == []
-        elif threshold == "default":
-            assert all(size > CHUNK for size in inner)
-        # nano's 7 tensors of more than CHUNK values all sit in the fourth stage,
-        # which localization does not run: they get no gradient and decay after the walk
-        large = 7 if threshold == "default" else len(named)
-        if task == "classification" and threshold != "none":
-            assert len(inner) == 3 * large
-        if task == "localization" and threshold == "every":
-            assert 0 < min(after) < len(named) // 2
+        # each iteration updates every tensor once
+        params = {id(t) for _, t in res.backbone.named_parameters() + res.head.named_parameters()}
+        assert len(updates) == 3 * len(named) == 3 * len(params)
+        for i in range(0, len(updates), len(named)):
+            assert {id(p) for p in updates[i:i + len(named)]} == params
 
     @pytest.mark.parametrize("task,placement,threshold",
-                             [("classification", CbamPlacement.NONE, CHUNK),
-                              ("localization", CbamPlacement.BLOCK, CHUNK // 4)])
+                             [("classification", CbamPlacement.NONE, 16384),
+                              ("localization", CbamPlacement.BLOCK, 4096)])
     def test_no_other_large_gradient_is_alive_at_an_update(self, monkeypatch, task, placement,
                                                           threshold):
-        """Localization lowers the threshold to reach the third stage's tensors."""
+        """Large means more than ``threshold`` values; localization lowers it
+        to reach the third stage's tensors."""
         from railswin import train as train_mod
 
-        monkeypatch.setattr(train_mod, "CHUNK", threshold)
         trees, checked = [], []
         for name in ("SwinBackbone", "init_head_params"):
             make = getattr(train_mod, name)
