@@ -3,18 +3,17 @@
     PYTHONPATH=src python3 scripts/bench_hotpath.py
 
 Prints one JSON document of median and min milliseconds over REPEATS runs
-(NANO_ITERS for the nano loop and the nano ``adamw_step``) of:
+(NANO_ITERS for the nano loop and the nano ``adamw`` pass) of:
 
 - ``gelu``: one forward and one backward call at the stage-0 MLP shapes
   of the nano config (batch 16, 32x32) and the full-size config (batch 1,
   224x224);
-- ``adamw_step``: one step with random gradients over the full-size
-  backbone's parameters (few large tensors, bound by memory traffic) and
-  over the tensors of a nano ``block`` classification run (backbone and
-  head: many small tensors, bound by per-tensor Python overhead).  This
-  times the batch API; ``train`` calls no ``adamw_step`` but updates each
-  tensor inside the backward walk, so its update time is part of the
-  ``nano_iteration`` and ``full`` rows;
+- ``adamw``: one AdamW step with random gradients, ``adamw_update`` on
+  each tensor through one scratch pair as ``train`` takes it, over the
+  full-size backbone's parameters (few large tensors, bound by memory
+  traffic) and over the tensors of a nano ``block`` classification run
+  (backbone and head: many small tensors, bound by per-tensor Python
+  overhead);
 - ``nano_iteration``: one training iteration at batch 16 for placements
   ``none`` and ``block``, from ``train.bench`` after its warmup;
 - ``full``: one full-size forward under ``no_grad`` and one training
@@ -45,7 +44,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from railswin import tensor as T  # noqa: E402
-from railswin.optim import AdamState, adamw_step  # noqa: E402
+from railswin.optim import CHUNK, AdamState, adamw_update  # noqa: E402
 from railswin.swin import CbamPlacement, SwinBackbone, nano_config, tiny_config  # noqa: E402
 from railswin.synth import SyntheticSpec  # noqa: E402
 from railswin.train import (TASKS, WARMUP_ITERS, TrainConfig, bench,  # noqa: E402
@@ -94,7 +93,14 @@ def time_adamw(params, repeats=REPEATS):
     rng = np.random.default_rng(0)
     grads = [rng.normal(size=p.shape) for p in params]
     state = AdamState.init(params)
-    s = timed(lambda: adamw_step(params, grads, state, 1e-3, weight_decay=0.05), repeats)
+    scratch = np.empty(CHUNK), np.empty(CHUNK)
+
+    def step():
+        state.t += 1
+        for p, g, m, v in zip(params, grads, state.m, state.v):
+            adamw_update(p, g, m, v, state.t, 1e-3, (0.9, 0.999), 1e-8, 0.05, scratch)
+
+    s = timed(step, repeats)
     return {"tensors": len(params), "values": sum(p.size for p in params), **summary(s)}
 
 
@@ -159,7 +165,7 @@ def main():
               "full_rounds": full_rounds(),
               "gelu": {"nano": time_gelu(stage0_mlp_shape(nano, 16)),
                        "full": time_gelu(stage0_mlp_shape(full, 1))},
-              "adamw_step": {
+              "adamw": {
                   "full": time_adamw([t for _, t in SwinBackbone(full).named_parameters()]),
                   "nano": time_adamw(nano_block_parameters(), NANO_ITERS)},
               "nano_iteration": {p.value: train_iterations(nano_config(p, seed=0), 16, NANO_ITERS)

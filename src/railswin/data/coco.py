@@ -118,6 +118,11 @@ def parse_coco(doc, base_dir="", load_pixels=False):
     return Dataset(images=list(images.values()), categories=categories)
 
 
+def _file_name(im):
+    """The image's own file name, else img_<id>.pgm, or .ppm for a colour image."""
+    return im.file_name or f"img_{im.id:06d}." + ("pgm" if im.channels == 1 else "ppm")
+
+
 def dataset_to_coco(dataset):
     """Regenerate a COCO-style document from a Dataset."""
     doc = {"images": [], "annotations": [], "categories": []}
@@ -127,7 +132,7 @@ def dataset_to_coco(dataset):
     for im in dataset.images:
         doc["images"].append({
             "id": im.id, "width": im.width, "height": im.height,
-            "file_name": im.file_name or f"img_{im.id:06d}.pgm",
+            "file_name": _file_name(im),
         })
         for box, cat in im.instances:
             doc["annotations"].append({
@@ -143,8 +148,7 @@ def save_dataset(dataset, out_dir):
     """Write annotations.json plus one PGM/PPM per image with pixel data."""
     os.makedirs(out_dir, exist_ok=True)
     for im in dataset.images:
-        if im.file_name is None:
-            im.file_name = f"img_{im.id:06d}.pgm" if im.channels == 1 else f"img_{im.id:06d}.ppm"
+        im.file_name = _file_name(im)
         if im.pixels is not None:
             write_pnm(os.path.join(out_dir, im.file_name), im.pixels)
     path = os.path.join(out_dir, "annotations.json")

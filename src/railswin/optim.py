@@ -29,32 +29,16 @@ class AdamState:
 CHUNK = 16384
 
 
-def adamw_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
-    """One AdamW update, in place.
+def adamw_update(p, g, m, v, t, lr, betas, eps, weight_decay, scratch):
+    """Step ``t`` of AdamW, in place, for tensor ``p`` with gradient ``g`` and moments ``m``, ``v``.
 
     Weight decay is decoupled and applied to the pre-update parameter
-    (param -= lr * wd * param) before the bias-corrected moment update.
-    ``grads`` entries may be None (parameter unused this step); such
-    parameters still decay but their moments are left untouched.
-    """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeMismatch("adamw_step: params/grads/state length mismatch")
-    state.t += 1
-    scratch = np.empty(CHUNK), np.empty(CHUNK)
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        adamw_update(p, g, m, v, state.t, lr, betas, eps, weight_decay, scratch)
-    return state
-
-
-def adamw_update(p, g, m, v, t, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0,
-                 scratch=None):
-    """Step ``t`` of AdamW for one tensor ``p`` with gradient ``g`` and moments ``m``, ``v``.
-
-    ``adamw_step`` runs this for each of its tensors after advancing the
-    step counter; a caller that updates tensors one at a time advances the
-    counter itself.  An update reads no other tensor, so the order in which
-    tensors are updated changes no byte.  ``scratch`` is a pair of CHUNK-sized
-    buffers to reuse.
+    (param -= lr * wd * param) before the bias-corrected moment update.  A
+    ``g`` of None (parameter unused this step) still decays ``p`` but leaves
+    the moments untouched.  The caller advances the step counter ``t`` once
+    per step of all its tensors.  An update reads no other tensor, so the
+    order in which tensors are updated changes no byte.  ``scratch`` is a
+    pair of CHUNK-sized buffers to reuse.
     """
     b1, b2 = betas
     decay = 1.0 - lr * weight_decay
@@ -63,11 +47,9 @@ def adamw_update(p, g, m, v, t, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0
             p.data *= decay
         return
     if g.shape != p.data.shape:
-        raise ShapeMismatch(f"adamw_step: grad {g.shape} != param {p.data.shape}")
+        raise ShapeMismatch(f"adamw_update: grad {g.shape} != param {p.data.shape}")
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-    if scratch is None:
-        scratch = np.empty(CHUNK), np.empty(CHUNK)
     # Each tensor is updated CHUNK elements at a time, decay included, so
     # each block is read from memory once.  Two block-sized scratch buffers
     # hold every temporary.  Each ufunc call below is one operation of

@@ -154,8 +154,9 @@ def _localization_targets(batch_images, grid_hw, stride, cat_index):
     for b, im in enumerate(batch_images):
         for box, cat in im.instances:
             cx, cy = box.x + box.w / 2.0, box.y + box.h / 2.0
-            j = min(int(cx // stride), gw - 1)
-            i = min(int(cy // stride), gh - 1)
+            # a centre outside the image trains the nearest cell of its own image
+            j = min(max(int(cx // stride), 0), gw - 1)
+            i = min(max(int(cy // stride), 0), gh - 1)
             cell = i * gw + j
             obj[b, cell] = 1.0
             pos_idx.append(b * cells + cell)
@@ -366,6 +367,9 @@ def train(cfg, out_dir=None, resume=None, data=None):
         cfg_ck, backbone, head, adam_state, meta = load_checkpoint(resume)
         if cfg_ck.swin != cfg.swin:
             raise InvalidParam("resume checkpoint was built for a different backbone config")
+        if cfg_ck.task != cfg.task:
+            raise InvalidParam(f"resume checkpoint was trained for {cfg_ck.task}, "
+                               f"not {cfg.task}")
         check_categories(meta, data)
         start_iteration = meta["iteration"]
     else:

@@ -232,7 +232,8 @@ def oracle_accum(t, g):
 
 
 def oracle_adamw_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
-    """``optim.adamw_step`` before the in-place rewrite: one temporary per operation."""
+    """One AdamW step over a list of tensors as ``optim`` took it before the
+    in-place rewrite: one temporary per operation."""
     b1, b2 = betas
     state.t += 1
     bc1 = 1.0 - b1**state.t

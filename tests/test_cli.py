@@ -326,17 +326,26 @@ def test_eval_checkpoint_rejects_dataset_with_other_category_ids(workspace, caps
 
 
 def test_train_resume_rejects_dataset_with_other_category_ids(workspace, capsys):
+    """Also another task, either way, and another backbone config.  Each
+    config asks for more iterations than the checkpoint holds."""
     tmp, ann, cfg_path = workspace
-    assert main(["train", "--config", str(cfg_path), "--out", str(tmp / "r1")]) == 0
     doc = json.loads(cfg_path.read_text())
-    doc["dataset"] = str(renumbered(ann, 10))
-    other = tmp / "other.json"
-    other.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert main(["train", "--config", str(other), "--out", str(tmp / "r2"),
-                 "--resume", str(tmp / "r1" / "checkpoint.npz")]) == 1
-    assert_one_error_line(capsys.readouterr().err)
-    assert list((tmp / "r2").iterdir()) == []
+    loc = tmp / "loc.json"
+    loc.write_text(json.dumps({**doc, "task": "localization"}))
+    for path in (cfg_path, loc):
+        assert main(["train", "--config", str(path), "--out", str(tmp / path.stem)]) == 0
+    cases = [(cfg_path, {"dataset": str(renumbered(ann, 10))}),
+             (cfg_path, {"task": "localization"}),
+             (loc, {"task": "classification"}),
+             (cfg_path, {"swin": {**doc["swin"], "depths": [1, 1, 1, 1]}})]
+    for k, (trained, change) in enumerate(cases):
+        other = tmp / f"other{k}.json"
+        other.write_text(json.dumps({**doc, "max_iterations": 6, **change}))
+        capsys.readouterr()
+        assert main(["train", "--config", str(other), "--out", str(tmp / f"r{k}"),
+                     "--resume", str(tmp / trained.stem / "checkpoint.npz")]) == 1, change
+        assert_one_error_line(capsys.readouterr().err)
+        assert list((tmp / f"r{k}").iterdir()) == []
 
 
 def test_gradcheck_command(capsys):

@@ -158,6 +158,20 @@ class TestCocoLoading:
         assert doc["annotations"][0]["bbox"] == [0, 0, 3, 3]
         assert doc["annotations"][0]["area"] == 9
 
+    def test_unnamed_images_get_one_name_from_both_writers(self, tmp_path):
+        """A record without a file name is img_<id>.pgm, or .ppm in colour, in
+        the regenerated document and on disk alike."""
+        grey = AnnotatedImage(id=4, width=3, height=2)
+        colour = AnnotatedImage(id=5, width=3, height=2, channels=3)
+        data = Dataset(images=[grey, colour], categories={1: "x"})
+        doc = dataset_to_coco(data)
+        assert [im["file_name"] for im in doc["images"]] == ["img_000004.pgm", "img_000005.ppm"]
+        colour.pixels = np.zeros((2, 3, 3), dtype=np.uint8)
+        save_dataset(data, tmp_path)
+        assert json.loads((tmp_path / "annotations.json").read_text())["images"] == doc["images"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["annotations.json",
+                                                              "img_000005.ppm"]
+
 
 class TestPnm:
     def test_gray_roundtrip(self, tmp_path):

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _oracles import oracle_adamw_step
 from railswin import tensor as T
 from railswin.config import from_dict, to_dict
 from railswin.data.boxes import BBox
@@ -19,7 +20,7 @@ from railswin.data.coco import AnnotatedImage, Dataset, save_dataset
 from railswin.data.stats import category_stats
 from railswin.errors import InvalidParam, NonFiniteLoss, ParseError
 from railswin.metrics import evaluate
-from railswin.optim import AdamState, adamw_step
+from railswin.optim import AdamState
 from railswin.swin import CbamPlacement, SwinBackbone, nano_config, tiny_config
 from railswin.synth import SyntheticSpec, generate_synthetic
 from railswin.tensor import Tensor, no_grad
@@ -28,6 +29,7 @@ from railswin.train import (
     TrainConfig,
     _class_label,
     _image_tensor,
+    _localization_targets,
     bench,
     decode_detections,
     head_forward,
@@ -86,6 +88,67 @@ class TestHead:
         loss = localization_loss(raw, [img], (2, 2), 16, {1: 0, 2: 1, 3: 2, 4: 3})
         T.backward(loss)
         assert raw.grad is not None and np.isfinite(loss.item())
+
+    @pytest.mark.parametrize("box,cell", [(BBox(-12, 20, 8, 8), 2),    # centre x = -8
+                                          (BBox(4, -14, 8, 8), 0),     # centre y = -10
+                                          (BBox(-30, -30, 4, 4), 0),
+                                          (BBox(40, 36, 8, 8), 3)],
+                             ids=["left", "above", "above-left", "below-right"])
+    def test_box_centred_outside_trains_the_nearest_cell_of_its_image(self, box, cell):
+        """``parse_coco`` accepts negative coordinates; such a centre clamps to
+        the grid on both sides, in the second image of the batch."""
+        other = AnnotatedImage(id=1, width=32, height=32, instances=[(BBox(4, 4, 8, 8), 1)])
+        img = AnnotatedImage(id=2, width=32, height=32, instances=[(box, 2)])
+        raw = Tensor(np.random.default_rng(3).normal(size=(2, 4, 9)), requires_grad=True)
+        loss = localization_loss(raw, [other, img], (2, 2), 16, {1: 0, 2: 1})
+        T.backward(loss)
+        # offsets and classes train at the positive cells alone: cell 0 of the
+        # first image and the clamped cell of the second
+        trained = np.flatnonzero(np.abs(raw.grad[..., 1:]).sum(axis=-1).reshape(-1))
+        assert trained.tolist() == [0, 4 + cell]
+        objectness = (raw.grad[..., 0] < 0).reshape(-1)  # a positive pulls its logit up
+        assert np.flatnonzero(objectness).tolist() == [0, 4 + cell]
+
+    def test_decode_gives_back_the_boxes_the_targets_encode(self):
+        """Raw outputs built from the training targets decode to every
+        in-image box, one box per cell, on a 2x3 grid of 16-px cells."""
+        rng = np.random.default_rng(5)
+        (gh, gw), stride, H, W = (2, 3), 16, 32, 48
+        images = []
+        for k in range(600):
+            instances = []
+            for cell in rng.permutation(gh * gw)[:rng.integers(1, gh * gw + 1)]:
+                i, j = divmod(int(cell), gw)
+                cx = (j + rng.uniform(0.05, 0.95)) * stride
+                cy = (i + rng.uniform(0.05, 0.95)) * stride
+                w = 2 * rng.uniform(0.01, 1.0) * min(cx, W - cx)
+                h = 2 * rng.uniform(0.01, 1.0) * min(cy, H - cy)
+                instances.append((BBox(cx - w / 2, cy - h / 2, w, h), int(rng.integers(1, 4))))
+            images.append(AnnotatedImage(id=k, width=W, height=H, instances=instances))
+        cat_index = {1: 0, 2: 1, 3: 2}
+        obj, pos_idx, pos_cls, pos_off = _localization_targets(images, (gh, gw), stride,
+                                                               cat_index)
+        raw = np.zeros((len(images) * gh * gw, 5 + len(cat_index)))
+        raw[:, 0] = np.where(obj.reshape(-1) > 0, 50.0, -50.0)
+        raw[pos_idx, 1:5] = pos_off
+        raw[pos_idx, 5 + pos_cls] = 20.0
+        raw = raw.reshape(len(images), gh * gw, -1)
+
+        def cell_of(b):
+            return int((b.y + b.h / 2) // stride), int((b.x + b.w / 2) // stride)
+
+        worst, boxes = 0.0, 0
+        for im, r in zip(images, raw):
+            dets = decode_detections(r, (gh, gw), stride, im.id, (H, W), [1, 2, 3])
+            assert len(dets) == len(im.instances)
+            want = sorted(im.instances, key=lambda bc: cell_of(bc[0]))
+            got = sorted(dets, key=lambda d: cell_of(d.box))
+            for (box, cat), d in zip(want, got):
+                assert d.category_id == cat
+                worst = max(worst, np.abs(np.array([d.box.x - box.x, d.box.y - box.y,
+                                                    d.box.w - box.w, d.box.h - box.h])).max())
+                boxes += 1
+        assert boxes > 1500 and worst <= 1e-9
 
 
 class TestConfig:
@@ -305,7 +368,8 @@ class TestLoop:
 
 def _plain_loop(cfg):
     """``train``'s loop as it was before any tensor stepped inside the walk:
-    a plain ``backward``, then one ``adamw_step`` over every tensor."""
+    a plain ``backward``, then one AdamW step over every tensor, taken by the
+    expression-form oracle."""
     data = generate_synthetic(cfg.synthetic)
     cat_index = {c: i for i, c in enumerate(sorted(data.categories))}
     backbone = SwinBackbone(cfg.swin, in_channels=1)
@@ -329,8 +393,8 @@ def _plain_loop(cfg):
                                      cfg.swin.stage_stride(head.stage), cat_index)
         losses.append(loss.item())
         T.backward(loss)
-        adamw_step(params, [p.grad for p in params], state, cfg.lr, cfg.betas, 1e-8,
-                   cfg.weight_decay)
+        oracle_adamw_step(params, [p.grad for p in params], state, cfg.lr, cfg.betas, 1e-8,
+                          cfg.weight_decay)
     return losses, named, state
 
 
