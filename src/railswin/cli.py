@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -107,19 +108,26 @@ def cmd_preprocess(args):
                 im.pixels = enhanced
     fraction, train_targets, val_targets = _load_targets(args.augment_plan, data.categories)
     train_ds, val_ds = split_train_val(data, fraction, args.seed)
-    out = _ensure_out(args)
-    plans = {}
+    # plan both splits before writing anything, so a planning error leaves --out as it was
+    splits = {}
     # synthesized ids follow every source id and never repeat across splits
     next_id = max((im.id for im in data.images), default=0) + 1
     for name, ds, targets in (("train", train_ds, train_targets), ("val", val_ds, val_targets)):
         plan, augmented = plan_and_execute_augmentation(ds, targets, args.seed, split=name,
                                                         first_id=next_id)
         next_id += len(plan.records)
-        plans[name] = plan
+        splits[name] = plan, augmented
+    out = _ensure_out(args)
+    # images are rewritten in place, and a split counts as written once its
+    # annotations.json is, the run once plan.json is: drop them all first
+    plan_path = os.path.join(out, "plan.json")
+    for path in [plan_path] + [os.path.join(out, name, "annotations.json") for name in splits]:
+        Path(path).unlink(missing_ok=True)
+    for name, (plan, augmented) in splits.items():
         save_dataset(augmented, os.path.join(out, name))
         print(f"{name}: {len(augmented.images)} images "
               f"({len(plan.records)} synthesized)")
-    write_json(os.path.join(out, "plan.json"), {name: p.to_dict() for name, p in plans.items()})
+    write_json(plan_path, {name: plan.to_dict() for name, (plan, _) in splits.items()})
     return 0
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -113,14 +114,22 @@ def parse_coco(doc, base_dir="", load_pixels=False):
             raise DanglingReference(f"annotation references missing image {image_id}")
         if category_id not in categories:
             raise DanglingReference(f"annotation references missing category {category_id}")
-        images[image_id].instances.append((box, category_id))
+        im = images[image_id]
+        if box.x >= im.width or box.y >= im.height or box.x + box.w <= 0 or box.y + box.h <= 0:
+            raise ParseError(f"annotation {ann.get('id')!r}: box {ann['bbox']!r} lies wholly "
+                             f"outside image {image_id} ({im.width}x{im.height})")
+        im.instances.append((box, category_id))
 
     return Dataset(images=list(images.values()), categories=categories)
 
 
 def _file_name(im):
-    """The image's own file name, else img_<id>.pgm, or .ppm for a colour image."""
-    return im.file_name or f"img_{im.id:06d}." + ("pgm" if im.channels == 1 else "ppm")
+    """The image's own file name if it is a bare one, else img_<id>.pgm, or .ppm
+    for a colour image: an output name never leaves its split directory."""
+    n = im.file_name
+    if n and os.path.basename(n) == n and n not in (".", ".."):
+        return n
+    return f"img_{im.id:06d}." + ("pgm" if im.channels == 1 else "ppm")
 
 
 def dataset_to_coco(dataset):
@@ -145,12 +154,18 @@ def dataset_to_coco(dataset):
 
 
 def save_dataset(dataset, out_dir):
-    """Write annotations.json plus one PGM/PPM per image with pixel data."""
+    """Write one PGM/PPM per image with pixel data, then annotations.json.
+
+    Images are rewritten in place, so the split's annotations.json is
+    removed before the first one and written last: a directory without
+    it holds an interrupted save, which load_coco refuses.
+    """
     os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, "annotations.json")
+    Path(path).unlink(missing_ok=True)
     for im in dataset.images:
         im.file_name = _file_name(im)
         if im.pixels is not None:
             write_pnm(os.path.join(out_dir, im.file_name), im.pixels)
-    path = os.path.join(out_dir, "annotations.json")
     write_json(path, dataset_to_coco(dataset))
     return path

@@ -5,6 +5,8 @@ Grayscale images are [H, W] uint8 arrays, color images [H, W, 3].
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from ..errors import ParseError
@@ -20,9 +22,12 @@ def write_pnm(path, pixels):
         magic, h, w = b"P6", pixels.shape[0], pixels.shape[1]
     else:
         raise ParseError(f"pnm pixels must be [H, W] or [H, W, 3], got {pixels.shape}")
-    with open(path, "wb") as fh:
+    # no O_TRUNC: a rewrite reuses the file's blocks instead of freeing and
+    # reallocating them, and the truncate after the write drops a longer tail
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
         fh.write(magic + b"\n%d %d\n255\n" % (w, h))
         fh.write(pixels.tobytes())
+        fh.truncate()
 
 
 def read_pnm(path):

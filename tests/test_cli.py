@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from railswin.cli import main
 from railswin.config import to_dict
+from railswin.data import coco
 from railswin.data.coco import load_coco, save_dataset
 from railswin.errors import ParseError
 from railswin.swin import nano_config
@@ -83,6 +84,153 @@ def test_preprocess_ids_unique_across_splits(workspace):
     assert set(new["train"]).isdisjoint(new["val"])
     # synthesized images follow every source id: train's first, then val's
     assert min(new["train"]) == 25 and min(new["val"]) == max(new["train"]) + 1
+
+
+def preprocess_both(ann, targets, out):
+    """``preprocess --enhance cet`` with synthesized images in both splits."""
+    targets.write_text(json.dumps({"fraction": 0.75, "train": {"dark-blob": 12},
+                                   "val": {"dark-blob": 5}}))
+    return main(["preprocess", str(ann), "--enhance", "cet", "--augment-plan", str(targets),
+                 "--seed", "5", "--out", str(out)])
+
+
+def written(out):
+    """plan.json, each split's annotations.json and every file it names: path -> bytes."""
+    files = {"plan.json": (out / "plan.json").read_bytes()}
+    for split in ("train", "val"):
+        doc = (out / split / "annotations.json").read_bytes()
+        files[f"{split}/annotations.json"] = doc
+        for im in json.loads(doc)["images"]:
+            name = f"{split}/{im['file_name']}"
+            files[name] = (out / name).read_bytes()
+    return files
+
+
+@pytest.mark.parametrize("previous", ["larger", "smaller", "colour"])
+def test_preprocess_rerun_rewrites_every_file_as_a_fresh_run(workspace, previous):
+    """A run into an --out that holds an earlier run's images (same names,
+    other sizes or channels) writes the bytes a run into an empty one does."""
+    tmp, ann, _ = workspace
+    assert preprocess_both(ann, tmp / "t.json", tmp / "fresh") == 0
+    if previous == "colour":
+        data = load_coco(ann)
+        for im in data.images:
+            im.pixels = np.repeat(im.pixels[..., None], 3, axis=2)
+            im.channels = 3
+    else:
+        size = (48, 40) if previous == "larger" else (24, 16)
+        data = generate_synthetic(SyntheticSpec(num_images=24, seed=3, image_size=size,
+                                                instances_per_image=(1, 2)))
+        for im in data.images:
+            im.file_name = f"img_{im.id:06d}.pgm"
+    old = save_dataset(data, tmp / previous)
+    assert preprocess_both(old, tmp / "t.json", tmp / "rerun") == 0
+    before = written(tmp / "rerun")
+    assert preprocess_both(ann, tmp / "t.json", tmp / "rerun") == 0
+    after, fresh = written(tmp / "rerun"), written(tmp / "fresh")
+    assert after == fresh
+    overwritten = [n for n in after if n in before and before[n] != after[n]]
+    assert sum(n.endswith(".pgm") for n in overwritten) >= 20
+
+
+@pytest.mark.parametrize("k,whole", [(0, []), (7, []), (30, ["train"])],
+                         ids=["first", "train", "val"])
+def test_preprocess_interrupted_leaves_no_partial_split_loadable(workspace, monkeypatch,
+                                                                capsys, k, whole):
+    """A write failing after k images (train holds 26, val 8) over an earlier
+    run: exit 2 with one line and no plan.json. A split whose images were
+    not all written has no annotations.json, so it does not load; a clean
+    rerun then gives the fresh run's bytes."""
+    tmp, ann, _ = workspace
+    assert preprocess_both(ann, tmp / "t.json", tmp / "fresh") == 0
+    assert preprocess_both(ann, tmp / "t.json", tmp / "p") == 0
+    capsys.readouterr()
+    real, calls = coco.write_pnm, []
+
+    def failing(path, pixels):
+        if len(calls) == k:
+            raise OSError(28, "No space left on device")
+        calls.append(path)
+        real(path, pixels)
+
+    monkeypatch.setattr(coco, "write_pnm", failing)
+    assert preprocess_both(ann, tmp / "t.json", tmp / "p") == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "runtime failure: [Errno 28] No space left on device"]
+    assert not (tmp / "p" / "plan.json").exists()
+    for split in ("train", "val"):
+        path = tmp / "p" / split / "annotations.json"
+        if split in whole:
+            assert path.read_bytes() == (tmp / "fresh" / split / "annotations.json").read_bytes()
+            continue
+        assert not path.exists()
+        with pytest.raises(ParseError):
+            load_coco(path)
+    monkeypatch.undo()
+    assert preprocess_both(ann, tmp / "t.json", tmp / "p") == 0
+    assert written(tmp / "p") == written(tmp / "fresh")
+
+
+def test_preprocess_plans_both_splits_before_writing(tmp_path, capsys):
+    """Val planning failing (category b is in one train image only) writes no split."""
+    doc = {"images": [], "annotations": [], "categories": [{"id": 1, "name": "a"},
+                                                           {"id": 2, "name": "b"}]}
+    src = tmp_path / "src"
+    src.mkdir()
+    for i in range(1, 11):
+        doc["images"].append({"id": i, "width": 16, "height": 16, "file_name": f"s{i}.pgm"})
+        (src / f"s{i}.pgm").write_bytes(b"P5\n16 16\n255\n" + bytes(range(256)))
+        doc["annotations"].append({"id": i, "image_id": i, "category_id": 2 if i == 1 else 1,
+                                   "bbox": [2, 2, 5, 5]})
+    (src / "ann.json").write_text(json.dumps(doc))
+    (tmp_path / "t.json").write_text(json.dumps({"train": {"b": 1}, "val": {"b": 1}}))
+    for seed in "1234":
+        rc = main(["preprocess", str(src / "ann.json"), "--augment-plan", str(tmp_path / "t.json"),
+                   "--seed", seed, "--out", str(tmp_path / "p")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "category 2 has no source images to augment" in err
+        assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("name", ["absolute", "../a.pgm", "sub/a.pgm"])
+def test_preprocess_output_names_stay_inside_the_split(workspace, name):
+    """An image named by a path is written as img_<id>.pgm in its split; the
+    source file it was read from keeps its bytes."""
+    tmp, ann, _ = workspace
+    out = tmp / "p"
+    doc = json.loads(Path(ann).read_text())
+    if name == "absolute":
+        name = str(tmp / "abs" / "a.pgm")
+    src_dir = out / "x"  # '../a.pgm' from here and from out/train is out/a.pgm
+    src_dir.mkdir(parents=True)
+    source = src_dir / name
+    source.parent.mkdir(parents=True, exist_ok=True)
+    source.write_bytes((Path(ann).parent / doc["images"][0]["file_name"]).read_bytes())
+    doc["images"][0]["file_name"] = name
+    (src_dir / "ann.json").write_text(json.dumps(doc))
+    before = source.read_bytes()
+    assert preprocess_both(src_dir / "ann.json", tmp / "t.json", out) == 0
+    assert source.read_bytes() == before
+    split = [s for s in ("train", "val")
+             if 1 in {im.id for im in load_coco(out / s / "annotations.json").images}]
+    assert len(split) == 1
+    entry = next(im for im in load_coco(out / split[0] / "annotations.json").images if im.id == 1)
+    assert entry.file_name == "img_000001.pgm" and entry.pixels is not None
+
+
+def test_preprocess_rejects_box_outside_its_image(workspace, capsys):
+    tmp, ann, _ = workspace
+    doc = json.loads(Path(ann).read_text())
+    doc["annotations"][0]["bbox"] = [40.0, 2.0, 4.0, 4.0]  # the image is 32 wide
+    Path(ann).write_text(json.dumps(doc))
+    assert preprocess_both(ann, tmp / "t.json", tmp / "p") == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert f"annotation {doc['annotations'][0]['id']}:" in err
+    assert f"image {doc['annotations'][0]['image_id']} (32x32)" in err
+    assert not (tmp / "p").exists()
 
 
 @pytest.mark.parametrize("content", [

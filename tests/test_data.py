@@ -1,6 +1,7 @@
 """COCO ingestion, size statistics, and the small-instance rule."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -120,6 +121,22 @@ class TestCocoLoading:
         with pytest.raises(ParseError, match=f"bad {entry} entry"):
             parse_coco(doc)
 
+    @pytest.mark.parametrize("bbox,inside", [
+        ([100, 10, 5, 5], False), ([10, 100, 5, 5], False),
+        ([-5, 10, 5, 5], False), ([10, -5, 5, 5], False),
+        ([99, 99, 5, 5], True), ([-4, -4, 5, 5], True), ([-10, -10, 200, 200], True),
+    ], ids=["right", "below", "left", "above", "corner-overlap", "origin-overlap", "covering"])
+    def test_box_wholly_outside_its_image(self, bbox, inside):
+        """The 100x100 image keeps a box that overlaps it by any amount, and a
+        box with no overlap is a ParseError naming the annotation and image."""
+        doc = minimal_doc()
+        doc["annotations"][0]["bbox"] = bbox
+        if inside:
+            assert parse_coco(doc).images[0].instances == [(BBox(*bbox), 7)]
+            return
+        with pytest.raises(ParseError, match=r"annotation 1: .* outside image 1 \(100x100\)"):
+            parse_coco(doc)
+
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -135,6 +152,28 @@ class TestCocoLoading:
         loaded = load_coco(path)
         assert np.array_equal(loaded.images[0].pixels, img.pixels)
         assert loaded.images[0].instances == img.instances
+
+    def test_save_failing_partway_leaves_no_annotations(self, tmp_path, monkeypatch):
+        """Over an earlier save, a write failing at the second image leaves no
+        annotations.json, so the directory does not load."""
+        data = Dataset(images=[AnnotatedImage(id=i, width=3, height=2,
+                                              pixels=np.full((2, 3), i, dtype=np.uint8))
+                               for i in (1, 2)], categories={1: "x"})
+        path = save_dataset(data, tmp_path)
+        calls = []
+
+        def fail_second(p, pixels):
+            calls.append(p)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            write_pnm(p, pixels)
+
+        monkeypatch.setattr("railswin.data.coco.write_pnm", fail_second)
+        with pytest.raises(OSError):
+            save_dataset(data, tmp_path)
+        assert not os.path.exists(path)
+        with pytest.raises(ParseError):
+            load_coco(path)
 
     @pytest.mark.parametrize("payload", [b"P5 0 4 255\n", b"P5\n4 5\n255\n" + bytes(20),
                                          b"P5 5 3 255\n" + bytes(15), b"P6 5 3 255\n" + bytes(45)],
@@ -185,6 +224,14 @@ class TestPnm:
         path = tmp_path / "c.ppm"
         write_pnm(path, img)
         assert np.array_equal(read_pnm(path), img)
+
+    def test_rewrite_leaves_only_the_new_image(self, tmp_path):
+        """Rewriting a larger file in place drops its tail: the bytes are a fresh write's."""
+        small = np.arange(30, dtype=np.uint8).reshape(5, 6)
+        write_pnm(tmp_path / "fresh.pgm", small)
+        write_pnm(tmp_path / "x.pgm", np.full((9, 8, 3), 200, dtype=np.uint8))
+        write_pnm(tmp_path / "x.pgm", small)
+        assert (tmp_path / "x.pgm").read_bytes() == (tmp_path / "fresh.pgm").read_bytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.pgm"
