@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import queue
+import threading
 import time
 import zipfile
 from dataclasses import dataclass, field, replace
@@ -27,6 +29,13 @@ from .tensor import Tensor, backward, no_grad
 TASKS = ("classification", "localization")
 
 WARMUP_ITERS = 5
+
+# A tensor whose update spans at least this many CHUNK blocks is stepped on
+# the optimizer worker thread while the walk goes on.
+WORKER_BLOCKS = 4
+
+# asks the optimizer worker to report once every update before it has run
+_DRAIN = object()
 
 
 @dataclass
@@ -349,11 +358,17 @@ class TrainResult:
 
 
 def train(cfg, out_dir=None, resume=None, data=None):
-    """Run the configured training; single-threaded and bit-deterministic.
+    """Run the configured training; bit-deterministic.
 
     Writes loss_curve.csv, timing.csv and checkpoint.npz under ``out_dir``
     when given.  ``resume`` continues from a checkpoint produced by a
     previous run of the same config.
+
+    One optimizer worker thread steps the large tensors while ``backward``
+    walks on; it starts at the first such tensor and is joined before
+    ``train`` returns or raises.  Each update reads only its own tensor,
+    gradient and moments, and a handed-over tensor has no consumer left in
+    the walk, so the bytes are those of a single-threaded run.
     """
     if data is None:
         data = _load_training_data(cfg)
@@ -383,6 +398,7 @@ def train(cfg, out_dir=None, resume=None, data=None):
     # reaches the early stages' activations.
     moments = {id(p): (p, m, v) for p, m, v in zip(params, adam_state.m, adam_state.v)}
     scratch = np.empty(CHUNK), np.empty(CHUNK)
+    large = WORKER_BLOCKS * CHUNK
 
     n = len(data.images)
     iters_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
@@ -390,54 +406,92 @@ def train(cfg, out_dir=None, resume=None, data=None):
     if cfg.max_iterations is not None:
         total = min(total, cfg.max_iterations)
 
+    def update(p, m, v, t, scratch):
+        adamw_update(p, p.grad, m, v, t, cfg.lr, cfg.betas, 1e-8, cfg.weight_decay, scratch)
+        p.grad = None
+
+    def work():
+        # the optimizer worker, with a scratch pair of its own: at each drain
+        # marker it reports the first error since the last one, and it skips
+        # the updates after an error
+        worker_scratch = np.empty(CHUNK), np.empty(CHUNK)
+        error = None
+        for job in iter(jobs.get, None):
+            if job is _DRAIN:
+                drained.put(error)
+                error = None
+            elif error is None:
+                try:
+                    update(*job, worker_scratch)
+                except Exception as e:  # raised again by train at the drain
+                    error = e
+
+    jobs, drained = queue.SimpleQueue(), queue.SimpleQueue()
+    worker = None  # started at the first large tensor
     losses = []
     timing = IterTimingLog()
     iteration = start_iteration
     order, order_epoch = None, -1
-    while iteration < total:
-        t0 = time.perf_counter()
-        epoch = iteration // iters_per_epoch
-        if epoch != order_epoch:
-            # epoch order is random-access (seeded per epoch) so a resumed
-            # run sees exactly the batches a fresh run would
-            order = np.random.default_rng([cfg.seed + 1, epoch]).permutation(n)
-            order_epoch = epoch
-        lo = (iteration % iters_per_epoch) * cfg.batch_size
-        batch = [data.images[k] for k in order[lo:lo + cfg.batch_size]]
-        x = _image_tensor(batch)
+    try:
+        while iteration < total:
+            t0 = time.perf_counter()
+            epoch = iteration // iters_per_epoch
+            if epoch != order_epoch:
+                # epoch order is random-access (seeded per epoch) so a resumed
+                # run sees exactly the batches a fresh run would
+                order = np.random.default_rng([cfg.seed + 1, epoch]).permutation(n)
+                order_epoch = epoch
+            lo = (iteration % iters_per_epoch) * cfg.batch_size
+            batch = [data.images[k] for k in order[lo:lo + cfg.batch_size]]
+            x = _image_tensor(batch)
 
-        features = backbone.forward(x, head.stage + 1)
-        out = head_forward(features, head)
-        if cfg.task == "classification":
-            labels = np.array([_class_label(im, cat_index) for im in batch])
-            loss = T.cross_entropy(out, labels)
-        else:
-            loss = localization_loss(out, batch, features[head.stage].shape[-2:],
-                                     cfg.swin.stage_stride(head.stage), cat_index)
+            features = backbone.forward(x, head.stage + 1)
+            out = head_forward(features, head)
+            if cfg.task == "classification":
+                labels = np.array([_class_label(im, cat_index) for im in batch])
+                loss = T.cross_entropy(out, labels)
+            else:
+                loss = localization_loss(out, batch, features[head.stage].shape[-2:],
+                                         cfg.swin.stage_stride(head.stage), cat_index)
 
-        value = loss.item()
-        if not np.isfinite(value):
-            raise NonFiniteLoss(f"loss became {value} at iteration {iteration + 1}")
-        # the loss alone holds the tape now, so releasing frees it as backward walks
-        del x, features, out
-        adam_state.t += 1
-        # what the walk never reaches (stages the forward skips) only decays
-        unreached = dict(moments)
+            value = loss.item()
+            if not np.isfinite(value):
+                raise NonFiniteLoss(f"loss became {value} at iteration {iteration + 1}")
+            # the loss alone holds the tape now, so releasing frees it as backward walks
+            del x, features, out
+            adam_state.t += 1
+            # what the walk never reaches (stages the forward skips) only decays
+            unreached = dict(moments)
 
-        def step(p):
-            _, m, v = unreached.pop(id(p))
-            adamw_update(p, p.grad, m, v, adam_state.t, cfg.lr, cfg.betas, 1e-8,
-                         cfg.weight_decay, scratch)
-            p.grad = None
+            def step(p):
+                nonlocal worker
+                _, m, v = unreached.pop(id(p))
+                if p.data.size < large:
+                    update(p, m, v, adam_state.t, scratch)
+                    return
+                if worker is None:
+                    thread = threading.Thread(target=work, name="railswin-adamw")
+                    thread.start()
+                    worker = thread  # joined in the finally once it has started
+                jobs.put((p, m, v, adam_state.t))
 
-        backward(loss, release=True, on_final=step)
-        del loss
-        for p, m, v in unreached.values():
-            adamw_update(p, None, m, v, adam_state.t, cfg.lr, cfg.betas, 1e-8,
-                         cfg.weight_decay, scratch)
-        losses.append(value)
-        timing.seconds.append(time.perf_counter() - t0)
-        iteration += 1
+            backward(loss, release=True, on_final=step)
+            del loss
+            for p, m, v in unreached.values():
+                adamw_update(p, None, m, v, adam_state.t, cfg.lr, cfg.betas, 1e-8,
+                             cfg.weight_decay, scratch)
+            if worker is not None:
+                jobs.put(_DRAIN)
+                error = drained.get()
+                if error is not None:
+                    raise error
+            losses.append(value)
+            timing.seconds.append(time.perf_counter() - t0)
+            iteration += 1
+    finally:
+        if worker is not None:
+            jobs.put(None)
+            worker.join()
 
     result = TrainResult(losses=losses, timing=timing, backbone=backbone, head=head,
                          data=data, cat_index=cat_index)

@@ -4,7 +4,11 @@ import gc
 import hashlib
 import json
 import os
+import queue
 import re
+import sys
+import threading
+import time
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -18,9 +22,10 @@ from railswin.config import from_dict, to_dict
 from railswin.data.boxes import BBox
 from railswin.data.coco import AnnotatedImage, Dataset, save_dataset
 from railswin.data.stats import category_stats
-from railswin.errors import InvalidParam, NonFiniteLoss, ParseError
+from railswin.cli import main
+from railswin.errors import InvalidParam, NonFiniteLoss, ParseError, ShapeMismatch
 from railswin.metrics import evaluate
-from railswin.optim import AdamState
+from railswin.optim import CHUNK, AdamState
 from railswin.swin import CbamPlacement, SwinBackbone, nano_config, tiny_config
 from railswin.synth import SyntheticSpec, generate_synthetic
 from railswin.tensor import Tensor, no_grad
@@ -270,10 +275,7 @@ class TestLoop:
         assert meta["category_ids"] == sorted(res.data.categories)
 
     def test_resume_reproduces_straight_run(self, tmp_path):
-        full = train(quick_cfg(iters=8))
-        half = train(quick_cfg(iters=4), out_dir=tmp_path)
-        resumed = train(quick_cfg(iters=8), resume=os.path.join(tmp_path, "checkpoint.npz"))
-        assert resumed.losses == full.losses[4:]
+        _assert_resume_reproduces_straight_run(tmp_path)
 
     def test_localization_task_trains(self):
         res = train(quick_cfg(task="localization"))
@@ -366,6 +368,13 @@ class TestLoop:
         assert alive == [0, 0, 0, 0]
 
 
+def _assert_resume_reproduces_straight_run(tmp_path):
+    full = train(quick_cfg(iters=8))
+    train(quick_cfg(iters=4), out_dir=tmp_path)
+    resumed = train(quick_cfg(iters=8), resume=os.path.join(tmp_path, "checkpoint.npz"))
+    assert resumed.losses == full.losses[4:]
+
+
 def _plain_loop(cfg):
     """``train``'s loop as it was before any tensor stepped inside the walk:
     a plain ``backward``, then one AdamW step over every tensor, taken by the
@@ -401,18 +410,62 @@ def _plain_loop(cfg):
 SPLIT_CASES = [("classification", CbamPlacement.NONE), ("localization", CbamPlacement.BLOCK)]
 
 
+def _on_worker():
+    return threading.current_thread() is not threading.main_thread()
+
+
+def _record_trees(monkeypatch):
+    """The backbones and heads ``train`` builds, in build order."""
+    from railswin import train as train_mod
+
+    trees = []
+    for name in ("SwinBackbone", "init_head_params"):
+        make = getattr(train_mod, name)
+        monkeypatch.setattr(train_mod, name,
+                            lambda *a, _make=make, **k: trees.append(_make(*a, **k))
+                            or trees[-1])
+    return trees
+
+
+@pytest.fixture
+def quarter_block(monkeypatch):
+    """Every tensor of at least a quarter CHUNK block (4096 values) goes to
+    the optimizer worker.  Nano's tensors of a block or more are all in
+    stage 4, which a localization walk never reaches; a quarter block takes
+    in stage 3's too."""
+    from railswin import train as train_mod
+
+    monkeypatch.setattr(train_mod, "WORKER_BLOCKS", 0.25)
+    return CHUNK // 4
+
+
+# tensors of at least a quarter block that one walk hands to the worker
+ON_WORKER = {"classification": 18, "localization": 9}
+
+
 class TestStepInsideTheWalk:
     """``train`` steps each tensor as soon as ``backward`` has finished its
-    gradient; the tensors the walk never reaches only decay after it."""
+    gradient, the large ones on the optimizer worker; the tensors the walk
+    never reaches only decay after it."""
 
-    @pytest.mark.parametrize("task,placement", SPLIT_CASES)
-    def test_same_bytes_as_the_plain_loop(self, tmp_path, monkeypatch, task, placement):
+    def _same_bytes_as_the_plain_loop(self, tmp_path, monkeypatch, task, placement,
+                                      delay=0.0):
         from railswin import train as train_mod
 
-        updates = []
+        updates, on_worker, scratch = [], [], {False: set(), True: set()}
         update = train_mod.adamw_update
-        monkeypatch.setattr(train_mod, "adamw_update",
-                            lambda p, *a, **k: updates.append(p) or update(p, *a, **k))
+
+        def recording(p, *args, **kwargs):
+            worker = _on_worker()
+            if worker:
+                # a late update shows any closure that writes an array it did not allocate
+                time.sleep(delay)
+                on_worker.append(p)
+            scratch[worker].update(id(a) for a in args[-1])
+            updates.append(p)
+            return update(p, *args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "adamw_update", recording)
         cfg = quick_cfg(task=task, iters=3, placement=placement)
         res = train(cfg, out_dir=tmp_path)
         losses, named, state = _plain_loop(cfg)
@@ -429,39 +482,181 @@ class TestStepInsideTheWalk:
         assert len(updates) == 3 * len(named) == 3 * len(params)
         for i in range(0, len(updates), len(named)):
             assert {id(p) for p in updates[i:i + len(named)]} == params
+        return on_worker, scratch
 
-    @pytest.mark.parametrize("task,placement,threshold",
-                             [("classification", CbamPlacement.NONE, 16384),
-                              ("localization", CbamPlacement.BLOCK, 4096)])
-    def test_no_other_large_gradient_is_alive_at_an_update(self, monkeypatch, task, placement,
-                                                          threshold):
-        """Large means more than ``threshold`` values; localization lowers it
-        to reach the third stage's tensors."""
+    @pytest.mark.parametrize("task,placement", SPLIT_CASES)
+    def test_same_bytes_as_the_plain_loop(self, tmp_path, monkeypatch, task, placement):
+        on_worker, scratch = self._same_bytes_as_the_plain_loop(tmp_path, monkeypatch, task,
+                                                                placement)
+        assert on_worker == [] and len(scratch[False]) == 2
+
+    @pytest.mark.parametrize("task,placement", SPLIT_CASES)
+    def test_same_bytes_with_a_delayed_worker(self, tmp_path, monkeypatch, quarter_block,
+                                              task, placement):
+        # a short switch interval interleaves the two threads' bytecode finely too
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            on_worker, scratch = self._same_bytes_as_the_plain_loop(
+                tmp_path, monkeypatch, task, placement, delay=0.005)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(on_worker) == 3 * ON_WORKER[task]
+        # the worker steps with a scratch pair of its own
+        assert len(scratch[True]) == 2 and not scratch[True] & scratch[False]
+
+    @pytest.mark.parametrize("task,placement", SPLIT_CASES)
+    def test_only_handed_over_gradients_are_alive_at_a_worker_update(
+            self, monkeypatch, quarter_block, task, placement):
+        """The worker is held one large tensor behind the walk: it checks
+        tensor k while the walk waits just after handing over tensor k + 1.
+        Every other large gradient then alive was handed over and not yet
+        stepped."""
         from railswin import train as train_mod
 
-        trees, checked = [], []
-        for name in ("SwinBackbone", "init_head_params"):
-            make = getattr(train_mod, name)
-            monkeypatch.setattr(train_mod, name,
-                                lambda *a, _make=make, **k: trees.append(_make(*a, **k))
-                                or trees[-1])
+        trees = _record_trees(monkeypatch)
+        pending, alive = [], []  # handed over, not yet stepped; live others per check
+        go, checked = queue.SimpleQueue(), queue.SimpleQueue()
+        walk = train_mod.backward
+
+        def lagging(loss, release, on_final):
+            def final(p):
+                on_final(p)
+                if p.data.size >= quarter_block:
+                    pending.append(p)
+                    if len(pending) > 1:
+                        go.put(None)
+                        checked.get(timeout=30)
+
+            walk(loss, release=release, on_final=final)
+            if pending:
+                go.put(None)
+                checked.get(timeout=30)
+
         update = train_mod.adamw_update
 
         def checking(p, *args, **kwargs):
-            others = [q for tree in trees for _, q in tree.named_parameters()
-                      if q is not p and q.data.size > threshold]
-            assert len(others) >= 6
-            assert all(q.grad is None for q in others)
-            checked.append(p)
+            if _on_worker():
+                go.get(timeout=30)
+                try:
+                    assert pending.pop(0) is p
+                    live = [q for tree in trees for _, q in tree.named_parameters()
+                            if q is not p and q.data.size >= quarter_block and q.grad is not None]
+                    assert all(any(q is h for h in pending) for q in live)
+                    alive.append(len(live))
+                finally:
+                    checked.put(None)
             return update(p, *args, **kwargs)
 
+        monkeypatch.setattr(train_mod, "backward", lagging)
         monkeypatch.setattr(train_mod, "adamw_update", checking)
         train(quick_cfg(task=task, iters=3, placement=placement))
-        assert len(checked) >= 3 * 4
+        assert alive == 3 * ([1] * (ON_WORKER[task] - 1) + [0])
+
+    @pytest.mark.parametrize("task,placement", SPLIT_CASES)
+    def test_no_gradient_is_alive_at_the_next_batch_or_after_train(
+            self, monkeypatch, quarter_block, task, placement):
+        from railswin import train as train_mod
+
+        trees = _record_trees(monkeypatch)
+        batch, update, alive = train_mod._image_tensor, train_mod.adamw_update, []
+
+        def count_live():
+            alive.append(sum(q.grad is not None for tree in trees
+                             for _, q in tree.named_parameters()))
+
+        def counting(*args, **kwargs):
+            count_live()
+            return batch(*args, **kwargs)
+
+        def late(p, *args, **kwargs):
+            if _on_worker():
+                time.sleep(0.002)
+            return update(p, *args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "_image_tensor", counting)
+        monkeypatch.setattr(train_mod, "adamw_update", late)
+        train(quick_cfg(task=task, iters=3, placement=placement))
+        count_live()
+        assert alive == [0, 0, 0, 0]
+
+    def test_resume_reproduces_straight_run(self, tmp_path, quarter_block):
+        _assert_resume_reproduces_straight_run(tmp_path)
+
+
+class TestOptimizerWorker:
+    """No thread outlives ``train``, however it ends, and an update that
+    fails on the worker fails ``train`` with the same error."""
+
+    def _ending(self, monkeypatch, how, large=CHUNK // 4):
+        """``how`` ends ``train``: "raises" fails the worker's second update,
+        "non_finite" poisons the first tensor it steps, and "interrupted"
+        stops the walk at its first inline update after a hand-over."""
+        from railswin import train as train_mod
+
+        update, walk, started, handed = train_mod.adamw_update, train_mod.backward, [], []
+
+        def failing(p, *args, **kwargs):
+            if not _on_worker():
+                if how == "interrupted" and handed:
+                    raise KeyboardInterrupt
+                return update(p, *args, **kwargs)
+            started.append(p)
+            if how == "raises" and len(started) == 2:
+                raise ShapeMismatch("adamw_update: injected on the worker")
+            update(p, *args, **kwargs)
+            if how == "non_finite":
+                p.data.flat[0] = np.nan
+
+        def recording(loss, release, on_final):
+            def final(p):
+                on_final(p)
+                if p.data.size >= large:
+                    handed.append(p)
+
+            walk(loss, release=release, on_final=final)
+
+        monkeypatch.setattr(train_mod, "adamw_update", failing)
+        monkeypatch.setattr(train_mod, "backward", recording)
+        return handed
+
+    @pytest.mark.parametrize("how,error", [("returns", None), ("non_finite", NonFiniteLoss),
+                                           ("raises", ShapeMismatch),
+                                           ("interrupted", KeyboardInterrupt)])
+    def test_no_thread_outlives_train(self, monkeypatch, quarter_block, how, error):
+        handed = self._ending(monkeypatch, how)
+        before = threading.enumerate()
+        cfg = quick_cfg(iters=3)
+        if error is None:
+            _train_with_model(cfg, SwinBackbone(cfg.swin, in_channels=1))
+        else:
+            with pytest.raises(error) as e:
+                _train_with_model(cfg, SwinBackbone(cfg.swin, in_channels=1))
+        assert threading.enumerate() == before
+        assert handed  # the worker was started
+        if how == "non_finite":
+            assert "at iteration 2" in str(e.value)
+        if how == "raises":
+            assert str(e.value) == "adamw_update: injected on the worker"
+
+    def test_cli_exits_2_and_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch,
+                                                           quarter_block, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(to_dict(quick_cfg(iters=2))))
+        out = tmp_path / "t"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        before = (out / "checkpoint.npz").read_bytes()
+        capsys.readouterr()
+
+        self._ending(monkeypatch, "raises")
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["runtime failure: adamw_update: injected on the worker"]
+        assert (out / "checkpoint.npz").read_bytes() == before
 
 
 def _train_with_model(cfg, model):
-    """Drive train() against a model with a poisoned parameter."""
+    """Drive train() against the given backbone."""
     from railswin import train as train_mod
 
     orig = train_mod.SwinBackbone
