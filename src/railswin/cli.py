@@ -28,6 +28,7 @@ from .files import read_json, write_json, write_text
 from .metrics import evaluate, load_detections, report_to_csv, report_to_dict, size_ordered_report
 from .tensor import Tensor, grad_check
 from .train import (
+    WARMUP_ITERS,
     bench,
     check_categories,
     load_checkpoint,
@@ -140,7 +141,7 @@ def cmd_train(args):
         if timing.retained():
             iter_time = f"iter time {timing.mean():.4f}s ± {timing.std():.4f}s"
         else:
-            iter_time = f"no iteration timed: all fall within the {timing.warmup}-iteration warmup"
+            iter_time = f"no iteration timed: all fall within the {WARMUP_ITERS}-iteration warmup"
         print(f"trained {len(result.losses)} iterations; "
               f"final loss {result.losses[-1]:.4f}; {iter_time}")
     else:
@@ -218,7 +219,7 @@ def cmd_bench(args):
     timing = bench(load_train_config(args.config), args.iters)
     write_text(os.path.join(_ensure_out(args), "timing.csv"), timing.to_csv())
     print(f"{timing.mean():.4f}s ± {timing.std():.4f}s per iteration "
-          f"({len(timing.retained())} measured after {timing.warmup} warmup)")
+          f"({len(timing.retained())} measured after {WARMUP_ITERS} warmup)")
     return 0
 
 

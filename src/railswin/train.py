@@ -48,7 +48,6 @@ class TrainConfig:
     batch_size: int = 16
     seed: int = 0
     dataset: str = "synthetic"  # "synthetic" or a path to a COCO-style JSON
-    timing_log_path: str | None = None
     task: str = "classification"
     max_iterations: int | None = None
     synthetic: SyntheticSpec | None = None
@@ -209,10 +208,9 @@ def _std(values):
 @dataclass
 class IterTimingLog:
     seconds: list = field(default_factory=list)
-    warmup: int = WARMUP_ITERS
 
     def retained(self):
-        return self.seconds[self.warmup:]
+        return self.seconds[WARMUP_ITERS:]
 
     def mean(self):
         return _mean(self.retained())
@@ -292,7 +290,7 @@ def load_checkpoint(path):
     An unreadable, corrupt or incomplete file raises ParseError.
     """
     try:
-        with np.load(path) as blob:
+        with open(path, "rb") as fh, np.load(fh) as blob:
             arrays = dict(blob)
     # TypeError: a bare .npy array, which has no entries to open
     except (OSError, EOFError, TypeError, ValueError, zipfile.BadZipFile) as e:
@@ -502,8 +500,6 @@ def train(cfg, out_dir=None, resume=None, data=None):
         ckpt = os.path.join(out_dir, "checkpoint.npz")
         save_checkpoint(ckpt, cfg, backbone, head, adam_state, iteration, cat_ids)
         result.checkpoint_path = ckpt
-    if cfg.timing_log_path:
-        write_text(cfg.timing_log_path, timing.to_csv())
     return result
 
 

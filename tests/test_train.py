@@ -9,6 +9,7 @@ import re
 import sys
 import threading
 import time
+import warnings
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -318,8 +319,12 @@ class TestLoop:
         res = train(quick_cfg(iters=1), out_dir=tmp_path)
         data = Path(res.checkpoint_path).read_bytes()
         (tmp_path / "cut.npz").write_bytes(data[:len(data) // 2])
-        with pytest.raises(ParseError):
-            load_checkpoint(tmp_path / "cut.npz")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ParseError):
+                load_checkpoint(tmp_path / "cut.npz")
+            gc.collect()  # an unclosed file warns when it is collected
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_interrupted_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         first = train(quick_cfg(iters=1), out_dir=tmp_path)
