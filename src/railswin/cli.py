@@ -30,7 +30,7 @@ from .tensor import Tensor, grad_check
 from .train import (
     WARMUP_ITERS,
     bench,
-    check_categories,
+    check_dataset,
     load_checkpoint,
     load_train_config,
     predict_detections,
@@ -161,7 +161,7 @@ def cmd_eval(args):
         dets = load_detections(args.dets)
     else:
         _, backbone, head, _, meta = load_checkpoint(args.checkpoint)
-        check_categories(meta, data)
+        check_dataset(meta, data)
         dets = predict_detections(backbone, head, data)
     report = evaluate(dets, data)
     out = _ensure_out(args)

@@ -22,7 +22,6 @@ SMALL_SIZE_RATIO = 0.02
 
 COCO_SMALL_AREA_PX = 32 * 32
 COCO_MEDIUM_AREA_PX = 96 * 96
-COCO_REFERENCE_RESOLUTION = (640, 480)
 COCO_SMALL_RATIO = 0.003
 COCO_MEDIUM_RATIO = 0.03
 

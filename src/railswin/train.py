@@ -34,9 +34,6 @@ WARMUP_ITERS = 5
 # the optimizer worker thread while the walk goes on.
 WORKER_BLOCKS = 4
 
-# asks the optimizer worker to report once every update before it has run
-_DRAIN = object()
-
 
 @dataclass
 class TrainConfig:
@@ -329,12 +326,18 @@ def load_checkpoint(path):
     return cfg, backbone, head, adam, meta
 
 
-def check_categories(meta, dataset):
-    """InvalidParam unless ``dataset`` has the category ids the checkpoint was trained on."""
+def check_dataset(meta, dataset):
+    """InvalidParam unless ``dataset`` has the category ids and the image
+    channel count the checkpoint was trained on."""
     ids = sorted(dataset.categories)
     if ids != meta["category_ids"]:
         raise InvalidParam(f"the checkpoint has {meta['num_classes']} classes, category ids "
                            f"{meta['category_ids']}; the dataset {len(ids)} categories, ids {ids}")
+    channels = sorted({1 if im.pixels.ndim == 2 else 3
+                       for im in dataset.images if im.pixels is not None})
+    if channels and channels != [meta["in_channels"]]:
+        raise InvalidParam(f"the checkpoint takes {meta['in_channels']}-channel images; "
+                           f"the dataset's images have {' and '.join(map(str, channels))} channels")
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +367,12 @@ def train(cfg, out_dir=None, resume=None, data=None):
 
     One optimizer worker thread steps the large tensors while ``backward``
     walks on; it starts at the first such tensor and is joined before
-    ``train`` returns or raises.  Each update reads only its own tensor,
-    gradient and moments, and a handed-over tensor has no consumer left in
-    the walk, so the bytes are those of a single-threaded run.
+    ``train`` returns or raises.  The worker acknowledges every job, failed
+    or not; ``train`` waits for the queue to drain before it times the
+    iteration, then raises the worker's first error.  Each update reads
+    only its own tensor, gradient and moments, and a handed-over tensor has
+    no consumer left in the walk, so the bytes are those of a
+    single-threaded run.
     """
     if data is None:
         data = _load_training_data(cfg)
@@ -383,7 +389,7 @@ def train(cfg, out_dir=None, resume=None, data=None):
         if cfg_ck.task != cfg.task:
             raise InvalidParam(f"resume checkpoint was trained for {cfg_ck.task}, "
                                f"not {cfg.task}")
-        check_categories(meta, data)
+        check_dataset(meta, data)
         start_iteration = meta["iteration"]
     else:
         backbone = SwinBackbone(cfg.swin, in_channels=in_channels)
@@ -409,22 +415,18 @@ def train(cfg, out_dir=None, resume=None, data=None):
         p.grad = None
 
     def work():
-        # the optimizer worker, with a scratch pair of its own: at each drain
-        # marker it reports the first error since the last one, and it skips
-        # the updates after an error
+        # the optimizer worker, with a scratch pair of its own: it acknowledges
+        # every job, failed or not, and records each error for train to raise
         worker_scratch = np.empty(CHUNK), np.empty(CHUNK)
-        error = None
         for job in iter(jobs.get, None):
-            if job is _DRAIN:
-                drained.put(error)
-                error = None
-            elif error is None:
-                try:
-                    update(*job, worker_scratch)
-                except Exception as e:  # raised again by train at the drain
-                    error = e
+            try:
+                update(*job, worker_scratch)
+            except Exception as e:
+                errors.append(e)
+            finally:
+                jobs.task_done()
 
-    jobs, drained = queue.SimpleQueue(), queue.SimpleQueue()
+    jobs, errors = queue.Queue(), []
     worker = None  # started at the first large tensor
     losses = []
     timing = IterTimingLog()
@@ -458,7 +460,8 @@ def train(cfg, out_dir=None, resume=None, data=None):
             # the loss alone holds the tape now, so releasing frees it as backward walks
             del x, features, out
             adam_state.t += 1
-            # what the walk never reaches (stages the forward skips) only decays
+            # what the walk never reaches (stages the forward skips) has no
+            # gradient, so its update only decays it
             unreached = dict(moments)
 
             def step(p):
@@ -476,13 +479,11 @@ def train(cfg, out_dir=None, resume=None, data=None):
             backward(loss, release=True, on_final=step)
             del loss
             for p, m, v in unreached.values():
-                adamw_update(p, None, m, v, adam_state.t, cfg.lr, cfg.betas, 1e-8,
-                             cfg.weight_decay, scratch)
+                update(p, m, v, adam_state.t, scratch)
             if worker is not None:
-                jobs.put(_DRAIN)
-                error = drained.get()
-                if error is not None:
-                    raise error
+                jobs.join()
+                if errors:
+                    raise errors[0]
             losses.append(value)
             timing.seconds.append(time.perf_counter() - t0)
             iteration += 1
@@ -510,8 +511,8 @@ def train(cfg, out_dir=None, resume=None, data=None):
 PREDICT_CHUNK = 16  # images per no_grad forward in predict_detections
 
 
-def predict_detections(backbone, head, dataset, score_thresh=0.05, max_dets=100):
-    """Decoded detections for every image, in dataset order.
+def predict_detections(backbone, head, dataset):
+    """Detections for every image, in dataset order, at ``decode_detections``' defaults.
 
     Runs of consecutive images with the same pixel shape go through the
     backbone together, at most PREDICT_CHUNK at a time.
@@ -538,9 +539,7 @@ def predict_detections(backbone, head, dataset, score_thresh=0.05, max_dets=100)
                 grid_hw = features[head.stage].shape[-2:]
                 for im, rows in zip(chunk, raw.data):
                     out.extend(decode_detections(rows, grid_hw, stride, im.id,
-                                                 (im.height, im.width), cat_ids,
-                                                 score_thresh=score_thresh,
-                                                 max_dets=max_dets))
+                                                 (im.height, im.width), cat_ids))
     return out
 
 

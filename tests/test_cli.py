@@ -496,6 +496,33 @@ def test_train_resume_rejects_dataset_with_other_category_ids(workspace, capsys)
         assert list((tmp / f"r{k}").iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_checkpoint_rejects_dataset_with_other_channel_count(workspace, capsys, command):
+    """A 1-channel checkpoint on a 3-channel dataset: one validation line, no artifact."""
+    tmp, ann, cfg_path = workspace
+    data = load_coco(ann)
+    for im in data.images:
+        im.pixels = np.repeat(im.pixels[..., None], 3, axis=2)
+        im.channels = 3
+    colour = save_dataset(data, tmp / "colour")
+    if command == "eval":
+        argv = ["eval", "--checkpoint", str(_localization_checkpoint(tmp, cfg_path)),
+                "--dataset", str(colour)]
+    else:
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp / "t")]) == 0
+        other = tmp / "other.json"
+        other.write_text(json.dumps({**json.loads(cfg_path.read_text()), "max_iterations": 6,
+                                     "dataset": str(colour)}))
+        argv = ["train", "--config", str(other),
+                "--resume", str(tmp / "t" / "checkpoint.npz")]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp / "o")]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "1-channel" in err and "have 3 channels" in err
+    assert list((tmp / "o").glob("*")) == []
+
+
 def test_gradcheck_command(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out

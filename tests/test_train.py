@@ -593,13 +593,18 @@ class TestOptimizerWorker:
     """No thread outlives ``train``, however it ends, and an update that
     fails on the worker fails ``train`` with the same error."""
 
-    def _ending(self, monkeypatch, how, large=CHUNK // 4):
+    def _ending(self, monkeypatch, how, large=CHUNK // 4, iters=3):
         """``how`` ends ``train``: "raises" fails the worker's second update,
-        "non_finite" poisons the first tensor it steps, and "interrupted"
-        stops the walk at its first inline update after a hand-over."""
+        "raises_last" the last update of the last of ``iters`` iterations,
+        and "raises_twice" the second with one error and the third with
+        another; "non_finite" poisons the first tensor it steps, and
+        "interrupted" stops the walk at its first inline update after a
+        hand-over."""
         from railswin import train as train_mod
 
         update, walk, started, handed = train_mod.adamw_update, train_mod.backward, [], []
+        first = {"raises": 2, "raises_twice": 2,
+                 "raises_last": iters * ON_WORKER["classification"]}
 
         def failing(p, *args, **kwargs):
             if not _on_worker():
@@ -607,8 +612,10 @@ class TestOptimizerWorker:
                     raise KeyboardInterrupt
                 return update(p, *args, **kwargs)
             started.append(p)
-            if how == "raises" and len(started) == 2:
+            if len(started) == first.get(how):
                 raise ShapeMismatch("adamw_update: injected on the worker")
+            if how == "raises_twice" and len(started) == 3:
+                raise InvalidParam("adamw_update: injected again")
             update(p, *args, **kwargs)
             if how == "non_finite":
                 p.data.flat[0] = np.nan
@@ -627,6 +634,8 @@ class TestOptimizerWorker:
 
     @pytest.mark.parametrize("how,error", [("returns", None), ("non_finite", NonFiniteLoss),
                                            ("raises", ShapeMismatch),
+                                           ("raises_last", ShapeMismatch),
+                                           ("raises_twice", ShapeMismatch),
                                            ("interrupted", KeyboardInterrupt)])
     def test_no_thread_outlives_train(self, monkeypatch, quarter_block, how, error):
         handed = self._ending(monkeypatch, how)
@@ -641,8 +650,10 @@ class TestOptimizerWorker:
         assert handed  # the worker was started
         if how == "non_finite":
             assert "at iteration 2" in str(e.value)
-        if how == "raises":
+        if how.startswith("raises"):
             assert str(e.value) == "adamw_update: injected on the worker"
+        if how == "raises_last":  # the failed update was the last hand-over
+            assert len(handed) == 3 * ON_WORKER["classification"]
 
     def test_cli_exits_2_and_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch,
                                                            quarter_block, capsys):
